@@ -12,6 +12,7 @@ package extrareq
 // Shapes to compare against the paper are recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,22 +66,25 @@ var benchGrid = workload.Grid{
 	Seed:  42,
 }
 
-func benchmarkTable2App(b *testing.B, name string) {
-	app, ok := apps.ByName(name)
-	if !ok {
-		b.Fatalf("unknown app %s", name)
+// benchMeasure measures the named app over benchGrid through Run, without
+// fitting.
+func benchMeasure(b *testing.B, name string) *Campaign {
+	b.Helper()
+	res, err := Run(context.Background(), Spec{App: name, Grid: benchGrid}, WithoutModels())
+	if err != nil {
+		b.Fatal(err)
 	}
+	return res.Campaign
+}
+
+func benchmarkTable2App(b *testing.B, name string) {
 	var cv float64
 	for i := 0; i < b.N; i++ {
-		c, err := workload.Run(app, benchGrid)
+		res, err := Run(context.Background(), Spec{App: name, Grid: benchGrid})
 		if err != nil {
 			b.Fatal(err)
 		}
-		fit, err := workload.Fit(c, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cv = fit.Info[metrics.Flops].CVScore
+		cv = res.Requirements.Info[metrics.Flops].CVScore
 	}
 	b.ReportMetric(cv, "flopCVSMAPE%")
 }
@@ -96,10 +100,7 @@ func BenchmarkTable2RequirementsModels(b *testing.B) {
 func BenchmarkFig3ErrorHistogram(b *testing.B) {
 	// One fixed campaign + fit outside the loop; the benchmark measures the
 	// classification step and reports the headline quality number.
-	c, err := workload.Run(apps.NewKripke(), benchGrid)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := benchMeasure(b, "Kripke")
 	fit, err := workload.Fit(c, nil)
 	if err != nil {
 		b.Fatal(err)

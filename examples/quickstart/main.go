@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,20 +14,16 @@ import (
 )
 
 func main() {
-	// 1. Measure: run the Kripke proxy over a small p×n grid (the paper's
-	//    rule of thumb: at least five configurations per parameter).
+	// 1. Measure and model: run the Kripke proxy over a small p×n grid (the
+	//    paper's rule of thumb: at least five configurations per parameter)
+	//    and fit the five Table I requirement metrics.
 	fmt.Println("Measuring Kripke over its default 5×5 grid (p up to 64 simulated ranks)...")
-	campaign, err := extrareq.Measure("Kripke")
+	res, err := extrareq.Run(context.Background(), extrareq.Spec{App: "Kripke"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %d configurations measured\n\n", len(campaign.Samples))
-
-	// 2. Model: fit the five Table I requirement metrics.
-	reqs, err := extrareq.Model(campaign)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("  %d configurations measured\n\n", len(res.Campaign.Samples))
+	reqs := res.Requirements
 	fmt.Println("Fitted per-process requirements models r(p, n):")
 	for _, m := range []extrareq.Metric{
 		extrareq.MemoryBytes, extrareq.Flops, extrareq.CommBytes,
@@ -36,7 +33,7 @@ func main() {
 		fmt.Printf("  %-24s %-40s  (CV SMAPE %.2f%%)\n", m.Display(), info.Model, info.CVScore)
 	}
 
-	// 3. Extrapolate: evaluate the models far beyond the measured range.
+	// 2. Extrapolate: evaluate the models far beyond the measured range.
 	app := reqs.App
 	fmt.Println("\nExtrapolated per-process requirements (measured max: p=64, n=8192):")
 	for _, pt := range []struct{ p, n float64 }{
@@ -48,7 +45,7 @@ func main() {
 		fmt.Printf("  p=%-8.0f n=%-6.0f  #FLOP=%.3g  #Bytes used=%.3g\n", pt.p, pt.n, flops, mem)
 	}
 
-	// 4. Co-design: how would this app respond to doubling the machine?
+	// 3. Co-design: how would this app respond to doubling the machine?
 	outcomes, err := extrareq.StudyUpgrades([]extrareq.App{app}, extrareq.DefaultBaseline())
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,7 @@
 package extrareq
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,17 +9,18 @@ import (
 )
 
 func TestMeasureUnknownApp(t *testing.T) {
-	if _, err := Measure("nope"); err == nil {
+	if _, err := Run(context.Background(), Spec{App: "nope"}, WithoutModels()); err == nil {
 		t.Fatal("expected error for unknown app")
 	}
 }
 
 func TestMeasureAndModelKripke(t *testing.T) {
 	grid := Grid{Procs: []int{2, 4, 8, 16, 32}, Ns: []int{128, 256, 512, 1024, 2048}, Seed: 1}
-	c, err := MeasureGrid("Kripke", grid)
+	res, err := Run(context.Background(), Spec{App: "Kripke", Grid: grid}, WithoutModels())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := res.Campaign
 	reqs, err := Model(c)
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +158,9 @@ func TestMeasurePathsFacade(t *testing.T) {
 }
 
 func TestDefaultGridIsExposedViaMeasure(t *testing.T) {
-	// Measure uses the default grid; just check it is well-formed here
-	// (full campaigns are exercised in the workload tests and benches).
+	// Run uses the default grid for a zero Spec.Grid; just check it is
+	// well-formed here (full campaigns are exercised in the workload tests
+	// and benches).
 	g := workload.DefaultGrid("LULESH")
 	if len(g.Procs) < 5 || len(g.Ns) < 5 {
 		t.Fatalf("default grid too small: %+v", g)

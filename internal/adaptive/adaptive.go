@@ -489,7 +489,7 @@ func (e *engine) fit() (*workload.FitResult, error) {
 	}
 	opts := modeling.DefaultOptions()
 	opts.MinPoints = min(opts.MinPoints, len(e.procs), len(e.ns))
-	return workload.FitParallel(c, opts, 0, nil)
+	return workload.Fit(c, opts)
 }
 
 // pick scores the remaining candidates and returns the top k. The score of

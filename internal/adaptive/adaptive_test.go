@@ -241,11 +241,11 @@ func TestAdaptiveMatchesFullGridModels(t *testing.T) {
 			}
 
 			opts := modeling.DefaultOptions()
-			fitFull, err := workload.FitParallel(full.Campaign, opts, 0, nil)
+			fitFull, err := workload.Fit(full.Campaign, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fitAdaptive, err := workload.FitParallel(res.Campaign, opts, 0, nil)
+			fitAdaptive, err := workload.Fit(res.Campaign, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

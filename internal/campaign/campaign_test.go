@@ -137,8 +137,9 @@ func TestSchedulerMemoryHitByteIdentical(t *testing.T) {
 	}
 }
 
-// The scheduler must produce exactly what a bare ResilientRunner produces:
-// the shared pool and the cache layer are transparent.
+// The scheduler must produce exactly what a bare serial ResilientRunner
+// produces, at every pool width: the shared pool and the cache layer are
+// transparent.
 func TestSchedulerMatchesBareRunner(t *testing.T) {
 	plan, err := simmpi.ParseFaultSpec("drop=0.02,seed=3")
 	if err != nil {
@@ -154,20 +155,22 @@ func TestSchedulerMatchesBareRunner(t *testing.T) {
 		t.Fatalf("direct run: %v", err)
 	}
 
-	s, err := New(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	out, err := s.Run(context.Background(), req)
-	if err != nil {
-		t.Fatalf("scheduled run: %v", err)
-	}
-	if !bytes.Equal(mustJSON(t, wantC), mustJSON(t, out.Campaign)) {
-		t.Error("scheduled campaign differs from bare runner campaign")
-	}
-	if !bytes.Equal(mustJSON(t, wantRep), mustJSON(t, out.Report)) {
-		t.Error("scheduled report differs from bare runner report")
+	for _, workers := range []int{1, 2, 8} {
+		s, err := New(Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Run(context.Background(), req)
+		s.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: scheduled run: %v", workers, err)
+		}
+		if !bytes.Equal(mustJSON(t, wantC), mustJSON(t, out.Campaign)) {
+			t.Errorf("workers=%d: scheduled campaign differs from bare runner campaign", workers)
+		}
+		if !bytes.Equal(mustJSON(t, wantRep), mustJSON(t, out.Report)) {
+			t.Errorf("workers=%d: scheduled report differs from bare runner report", workers)
+		}
 	}
 }
 

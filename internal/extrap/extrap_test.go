@@ -1,6 +1,7 @@
 package extrap
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -150,7 +151,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestCampaignRoundTrip(t *testing.T) {
-	c, err := workload.Run(apps.NewKripke(), workload.Grid{
+	c, _, err := (&workload.ResilientRunner{App: apps.NewKripke()}).Run(context.Background(), workload.Grid{
 		Procs: []int{2, 4, 8, 16, 32},
 		Ns:    []int{64, 128, 256, 512, 1024},
 		Seed:  3,

@@ -5,13 +5,14 @@ package modeling
 // a worker pool. Three guarantees make the pool a drop-in replacement for
 // the serial loop:
 //
-//  1. Determinism: FitAll returns outcomes in task order regardless of the
-//     worker count, and every individual fit is deterministic, so the pool
-//     produces byte-identical models to a serial loop.
+//  1. Determinism: FitAllObserved returns outcomes in task order regardless
+//     of the worker count, and every individual fit is deterministic, so the
+//     pool produces byte-identical models to a serial loop.
 //  2. Content-keyed caching: a FitCache memoizes fits under a fingerprint
 //     of the task *content* (parameters, measurements, aggregator, and
 //     generator options — never the task's display key), so identical
-//     measurement sets are fitted exactly once per cache lifetime.
+//     measurement sets are fitted exactly once per cache lifetime, even
+//     when several workers reach the same fingerprint at once.
 //  3. Bounded concurrency: at most `workers` fits run at once (default
 //     GOMAXPROCS), each writing only its own result slot.
 
@@ -116,19 +117,14 @@ func newFitMetrics(r *obs.Registry) *fitMetrics {
 	}
 }
 
-// FitAll fits every task across a pool of workers and returns the outcomes
-// in task order. workers <= 0 selects GOMAXPROCS. A non-nil cache memoizes
-// fits by content: tasks with identical parameters, measurements,
+// FitAllObserved fits every task across a pool of workers and returns the
+// outcomes in task order. workers <= 0 selects GOMAXPROCS. A non-nil cache
+// memoizes fits by content: tasks with identical parameters, measurements,
 // aggregator, and options share one fitted model (the returned *ModelInfo
-// is shared and must be treated as read-only).
-func FitAll(tasks []FitTask, workers int, cache *FitCache) []FitOutcome {
-	return FitAllObserved(tasks, workers, cache, nil)
-}
-
-// FitAllObserved is FitAll reporting into a metrics registry: task counts,
-// cache hits, fit errors, and a per-task latency histogram, with pprof
-// goroutine labels on the worker pool so fitting shows up attributably in
-// CPU and goroutine profiles. A nil registry makes it identical to FitAll.
+// is shared and must be treated as read-only). A non-nil registry receives
+// task counts, cache hits, fit errors, and a per-task latency histogram;
+// the pool's goroutines carry pprof labels either way, so fitting shows up
+// attributably in CPU and goroutine profiles.
 func FitAllObserved(tasks []FitTask, workers int, cache *FitCache, reg *obs.Registry) []FitOutcome {
 	out := make([]FitOutcome, len(tasks))
 	if len(tasks) == 0 {
@@ -147,7 +143,7 @@ func FitAllObserved(tasks []FitTask, workers int, cache *FitCache, reg *obs.Regi
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			labels := pprof.Labels("pool", "modeling.FitAll", "worker", strconv.Itoa(w))
+			labels := pprof.Labels("pool", "modeling.FitAllObserved", "worker", strconv.Itoa(w))
 			pprof.Do(context.Background(), labels, func(context.Context) {
 				for {
 					i := int(next.Add(1)) - 1
@@ -171,47 +167,52 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 		start = time.Now()
 		defer func() { fm.seconds.Observe(time.Since(start).Seconds()) }()
 	}
-	observe := func(o FitOutcome) FitOutcome {
-		if fm != nil && o.Err != nil {
-			fm.errors.Inc()
+	var info *ModelInfo
+	var err error
+	if cache == nil {
+		info, err = FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
+	} else if e, owner := cache.claim(fingerprint(t)); owner {
+		e.info, e.err = FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
+		close(e.done)
+		info, err = e.info, e.err
+	} else {
+		<-e.done
+		if fm != nil {
+			fm.hits.Inc()
 		}
-		return o
+		info, err = e.info, e.err
 	}
-	if cache != nil {
-		fp := fingerprint(t)
-		if info, err, ok := cache.lookup(fp); ok {
-			if fm != nil {
-				fm.hits.Inc()
-			}
-			return observe(FitOutcome{Key: t.Key, Info: info, Err: err})
-		}
-		info, err := FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
-		info, err = cache.store(fp, info, err)
-		return observe(FitOutcome{Key: t.Key, Info: info, Err: err})
+	if fm != nil && err != nil {
+		fm.errors.Inc()
 	}
-	info, err := FitMultiAggregated(t.Params, t.Ms, t.Agg.fn(), t.Opts)
-	return observe(FitOutcome{Key: t.Key, Info: info, Err: err})
+	return FitOutcome{Key: t.Key, Info: info, Err: err}
 }
 
-// FitCache memoizes fitted models under content fingerprints. Safe for
-// concurrent use; the zero value is not usable, call NewFitCache.
+// FitCache memoizes fitted models under content fingerprints. It is
+// single-flight: the first task to reach a fingerprint fits it, and every
+// other task with that fingerprint — concurrent or later — waits for and
+// shares that one result, counting as a hit. Safe for concurrent use; the
+// zero value is not usable, call NewFitCache.
 type FitCache struct {
 	mu      sync.Mutex
-	entries map[[sha256.Size]byte]fitEntry
+	entries map[[sha256.Size]byte]*fitEntry
 	hits    atomic.Int64
 }
 
+// fitEntry is one fingerprint's fit; info and err are valid once done is
+// closed.
 type fitEntry struct {
+	done chan struct{}
 	info *ModelInfo
 	err  error
 }
 
 // NewFitCache returns an empty cache.
 func NewFitCache() *FitCache {
-	return &FitCache{entries: map[[sha256.Size]byte]fitEntry{}}
+	return &FitCache{entries: map[[sha256.Size]byte]*fitEntry{}}
 }
 
-// Len reports the number of cached fits.
+// Len reports the number of cached fits, in-flight ones included.
 func (c *FitCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,27 +222,19 @@ func (c *FitCache) Len() int {
 // Hits reports how many lookups were served from the cache.
 func (c *FitCache) Hits() int64 { return c.hits.Load() }
 
-func (c *FitCache) lookup(fp [sha256.Size]byte) (*ModelInfo, error, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[fp]
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	}
-	return e.info, e.err, ok
-}
-
-// store inserts a computed fit, keeping the first entry if two workers
-// raced on the same fingerprint, so that every caller observes one
-// canonical model per content key.
-func (c *FitCache) store(fp [sha256.Size]byte, info *ModelInfo, err error) (*ModelInfo, error) {
+// claim returns the entry for fp. owner is true when the caller created
+// it and must fill it and close done; otherwise the caller is a hit and
+// must wait on done before reading the result.
+func (c *FitCache) claim(fp [sha256.Size]byte) (e *fitEntry, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[fp]; ok {
-		return e.info, e.err
+		c.hits.Add(1)
+		return e, false
 	}
-	c.entries[fp] = fitEntry{info: info, err: err}
-	return info, err
+	e = &fitEntry{done: make(chan struct{})}
+	c.entries[fp] = e
+	return e, true
 }
 
 // fingerprint hashes the content of a fit task: parameters, measurements,

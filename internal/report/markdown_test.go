@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestMarkdownNoTitle(t *testing.T) {
 }
 
 func TestModelPlot(t *testing.T) {
-	c, err := workload.Run(apps.NewKripke(), workload.Grid{
+	c, _, err := (&workload.ResilientRunner{App: apps.NewKripke()}).Run(context.Background(), workload.Grid{
 		Procs: []int{2, 4, 8, 16, 32},
 		Ns:    []int{64, 128, 256, 512, 1024},
 		Seed:  11,
@@ -66,7 +67,7 @@ func TestModelPlot(t *testing.T) {
 }
 
 func TestQualityTable(t *testing.T) {
-	c, err := workload.Run(apps.NewKripke(), workload.Grid{
+	c, _, err := (&workload.ResilientRunner{App: apps.NewKripke()}).Run(context.Background(), workload.Grid{
 		Procs: []int{2, 4, 8, 16, 32},
 		Ns:    []int{64, 128, 256, 512, 1024},
 		Seed:  4,

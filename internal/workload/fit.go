@@ -87,70 +87,61 @@ func assembleFit(c *Campaign, outs []modeling.FitOutcome) (*FitResult, error) {
 	return res, nil
 }
 
-// Fit generates the five requirement models of Table II from a measured
-// campaign, fanning the per-metric fits across all cores.
+// Fit generates the five requirement models of Table II from one measured
+// campaign. It shares FitAllObserved's task building and fit pool, without
+// a cache, metrics, or the error classification.
 func Fit(c *Campaign, opts *modeling.Options) (*FitResult, error) {
-	return FitParallel(c, opts, 0, nil)
-}
-
-// FitParallel is Fit with an explicit worker count (<= 0 selects
-// GOMAXPROCS) and an optional content-keyed fit cache. The result is
-// deterministic: any worker count produces byte-identical models.
-func FitParallel(c *Campaign, opts *modeling.Options, workers int, cache *modeling.FitCache) (*FitResult, error) {
-	all := metrics.All()
-	tasks := make([]modeling.FitTask, 0, len(all))
-	for _, m := range all {
-		task, err := fitTask(c, m, opts)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, task)
+	fits, err := fitCampaigns([]*Campaign{c}, opts, 0, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return assembleFit(c, modeling.FitAll(tasks, workers, cache))
+	return fits[0], nil
 }
 
-// FitAll fits every campaign and aggregates the Figure 3 error classes,
-// fanning every campaign×metric series across all cores.
-func FitAll(campaigns []*Campaign, opts *modeling.Options) ([]*FitResult, []stats.ErrorClass, error) {
-	return FitAllParallel(campaigns, opts, 0, nil)
-}
-
-// FitAllParallel is FitAll with an explicit worker count (<= 0 selects
-// GOMAXPROCS) and an optional content-keyed fit cache shared across
-// campaigns: campaigns with identical measurement series reuse each
-// other's fits. Result order follows the campaign order regardless of the
-// worker count.
-func FitAllParallel(campaigns []*Campaign, opts *modeling.Options, workers int, cache *modeling.FitCache) ([]*FitResult, []stats.ErrorClass, error) {
-	return FitAllObserved(campaigns, opts, workers, cache, nil)
-}
-
-// FitAllObserved is FitAllParallel reporting fit_* metrics (task counts,
-// cache hits, errors, per-task latency) into the registry; nil disables
-// instrumentation. See modeling.FitAllObserved for the metric names.
+// FitAllObserved fits every campaign and aggregates the Figure 3 error
+// classes, fanning every campaign×metric series across workers goroutines
+// (<= 0 selects GOMAXPROCS). An optional content-keyed fit cache is shared
+// across campaigns, so campaigns with identical measurement series reuse
+// each other's fits, and a non-nil registry receives the fit_* metrics
+// (task counts, cache hits, errors, per-task latency; see
+// modeling.FitAllObserved). Result order follows the campaign order, and
+// the models are byte-identical for every worker count.
 func FitAllObserved(campaigns []*Campaign, opts *modeling.Options, workers int, cache *modeling.FitCache, reg *obs.Registry) ([]*FitResult, []stats.ErrorClass, error) {
+	fits, err := fitCampaigns(campaigns, opts, workers, cache, reg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var allErrs []float64
+	for _, f := range fits {
+		allErrs = append(allErrs, f.RelErrors()...)
+	}
+	return fits, stats.ClassifyRelativeErrors(allErrs), nil
+}
+
+// fitCampaigns builds the campaign×metric fit tasks, runs them through
+// modeling.FitAllObserved, and assembles one FitResult per campaign.
+func fitCampaigns(campaigns []*Campaign, opts *modeling.Options, workers int, cache *modeling.FitCache, reg *obs.Registry) ([]*FitResult, error) {
 	all := metrics.All()
 	tasks := make([]modeling.FitTask, 0, len(campaigns)*len(all))
 	for _, c := range campaigns {
 		for _, m := range all {
 			task, err := fitTask(c, m, opts)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			tasks = append(tasks, task)
 		}
 	}
 	outs := modeling.FitAllObserved(tasks, workers, cache, reg)
 	var fits []*FitResult
-	var allErrs []float64
 	for i, c := range campaigns {
 		f, err := assembleFit(c, outs[i*len(all):(i+1)*len(all)])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fits = append(fits, f)
-		allErrs = append(allErrs, f.RelErrors()...)
 	}
-	return fits, stats.ClassifyRelativeErrors(allErrs), nil
+	return fits, nil
 }
 
 func cloneOptions(opts *modeling.Options) *modeling.Options {

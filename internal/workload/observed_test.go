@@ -181,33 +181,53 @@ func TestObservedCampaignTraceReconcilesWithSamples(t *testing.T) {
 }
 
 // TestFitAllObservedMetrics: the fit pool reports task, cache-hit, and
-// latency metrics; a duplicated task set yields exactly half cache hits.
+// latency metrics; a task set of identical copies is fitted exactly once,
+// every other copy counting as a cache hit, however many workers race on
+// the shared fingerprint.
 func TestFitAllObservedMetrics(t *testing.T) {
 	var ms []modeling.Measurement
 	for _, n := range []float64{32, 64, 128, 256, 512} {
 		ms = append(ms, modeling.Measurement{Coords: []float64{n}, Values: []float64{2 * n}})
 	}
 	task := modeling.FitTask{Key: "k", Params: []string{"n"}, Ms: ms}
-	reg := obs.NewRegistry()
-	cache := modeling.NewFitCache()
-	outs := modeling.FitAllObserved([]modeling.FitTask{task, task, task, task}, 2, cache, reg)
-	for _, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("fit failed: %v", o.Err)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[modeling.MetricFitTasks]; got != 4 {
-		t.Errorf("%s = %d, want 4", modeling.MetricFitTasks, got)
-	}
-	if got := snap.Counters[modeling.MetricFitCacheHits]; got != 3 {
-		t.Errorf("%s = %d, want 3 (one miss, three hits)", modeling.MetricFitCacheHits, got)
-	}
-	if got := snap.Counters[modeling.MetricFitErrors]; got != 0 {
-		t.Errorf("%s = %d, want 0", modeling.MetricFitErrors, got)
-	}
-	if got := snap.Histograms[modeling.MetricFitSeconds].Total; got != 4 {
-		t.Errorf("%s total = %d, want 4", modeling.MetricFitSeconds, got)
+	for _, in := range []struct{ tasks, workers int }{{4, 2}, {64, 8}} {
+		t.Run(fmt.Sprintf("tasks=%d/workers=%d", in.tasks, in.workers), func(t *testing.T) {
+			tasks := make([]modeling.FitTask, in.tasks)
+			for i := range tasks {
+				tasks[i] = task
+			}
+			reg := obs.NewRegistry()
+			cache := modeling.NewFitCache()
+			outs := modeling.FitAllObserved(tasks, in.workers, cache, reg)
+			for _, o := range outs {
+				if o.Err != nil {
+					t.Fatalf("fit failed: %v", o.Err)
+				}
+				if o.Info != outs[0].Info {
+					t.Fatal("identical tasks returned different fits")
+				}
+			}
+			snap := reg.Snapshot()
+			want := int64(in.tasks)
+			if got := snap.Counters[modeling.MetricFitTasks]; got != want {
+				t.Errorf("%s = %d, want %d", modeling.MetricFitTasks, got, want)
+			}
+			if got := snap.Counters[modeling.MetricFitCacheHits]; got != want-1 {
+				t.Errorf("%s = %d, want %d (one miss, the rest hits)", modeling.MetricFitCacheHits, got, want-1)
+			}
+			if got := cache.Hits(); got != want-1 {
+				t.Errorf("cache.Hits() = %d, want %d", got, want-1)
+			}
+			if got := cache.Len(); got != 1 {
+				t.Errorf("cache.Len() = %d, want 1", got)
+			}
+			if got := snap.Counters[modeling.MetricFitErrors]; got != 0 {
+				t.Errorf("%s = %d, want 0", modeling.MetricFitErrors, got)
+			}
+			if got := snap.Histograms[modeling.MetricFitSeconds].Total; got != want {
+				t.Errorf("%s total = %d, want %d", modeling.MetricFitSeconds, got, want)
+			}
+		})
 	}
 }
 

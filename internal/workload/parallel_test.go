@@ -1,15 +1,47 @@
 package workload
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"extrareq/internal/apps"
 	"extrareq/internal/metrics"
 	"extrareq/internal/modeling"
 )
+
+// poolExec is a k-goroutine ExecFunc standing in for the campaign
+// scheduler's shared pool, so tests can compare pooled measurement against
+// the runner's serial reference (nil Exec).
+func poolExec(k int) ExecFunc {
+	return func(n int, run func(i int)) error {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < k; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					run(i)
+				}
+			}()
+		}
+		wg.Wait()
+		return nil
+	}
+}
+
+// measure measures a healthy campaign through a ResilientRunner on a
+// GOMAXPROCS-wide pool, the way the campaign scheduler runs it.
+func measure(app apps.App, grid Grid) (*Campaign, error) {
+	r := &ResilientRunner{App: app, Exec: poolExec(runtime.GOMAXPROCS(0))}
+	c, _, err := r.Run(context.Background(), grid)
+	return c, err
+}
 
 // renderFitResults stringifies fitted campaigns for byte comparison.
 func renderFitResults(t *testing.T, fits []*FitResult) string {
@@ -24,46 +56,38 @@ func renderFitResults(t *testing.T, fits []*FitResult) string {
 	return b.String()
 }
 
-// TestRunParallelMatchesSerial verifies that concurrent campaign
-// measurement produces the same samples, in the same p-major/n-minor
-// order, as the one-worker loop.
-func TestRunParallelMatchesSerial(t *testing.T) {
-	serial, err := RunParallel(apps.NewKripke(), smallGrid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8, 0} {
-		par, err := RunParallel(apps.NewKripke(), smallGrid, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _ := json.Marshal(serial.Samples)
-		b, _ := json.Marshal(par.Samples)
-		if string(a) != string(b) {
-			t.Errorf("workers=%d: samples differ from serial measurement", workers)
-		}
-	}
-}
-
 // TestFitAllParallelWorkerCountIndependent is the table-driven determinism
-// test: fitting the same campaigns must render byte-identically for every
-// worker count, with and without a shared cache.
+// test of FitAllObserved: fitting the same campaigns must render
+// byte-identically for every worker count, with and without a shared
+// cache, and Fit must agree with it campaign by campaign.
 func TestFitAllParallelWorkerCountIndependent(t *testing.T) {
-	c1, err := Run(apps.NewKripke(), smallGrid)
+	c1, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Run(apps.NewLULESH(), smallGrid)
+	c2, err := measure(apps.NewLULESH(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	campaigns := []*Campaign{c1, c2}
 
-	ref, refErrs, err := FitAllParallel(campaigns, nil, 1, nil)
+	ref, refErrs, err := FitAllObserved(campaigns, nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := renderFitResults(t, ref)
+
+	var single []*FitResult
+	for _, c := range campaigns {
+		f, err := Fit(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single = append(single, f)
+	}
+	if got := renderFitResults(t, single); got != want {
+		t.Errorf("Fit differs from FitAllObserved:\n--- FitAllObserved ---\n%s--- Fit ---\n%s", want, got)
+	}
 
 	cases := []struct {
 		name    string
@@ -83,7 +107,7 @@ func TestFitAllParallelWorkerCountIndependent(t *testing.T) {
 			if tc.cached {
 				cache = modeling.NewFitCache()
 			}
-			fits, errs, err := FitAllParallel(campaigns, nil, tc.workers, cache)
+			fits, errs, err := FitAllObserved(campaigns, nil, tc.workers, cache, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,20 +121,20 @@ func TestFitAllParallelWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestFitParallelCacheReuse verifies that a shared cache lets a second
-// campaign with identical samples reuse the first campaign's fits.
-func TestFitParallelCacheReuse(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+// TestFitAllObservedCacheReuse verifies that a shared cache lets a second
+// fit of a campaign with identical samples reuse the first one's models.
+func TestFitAllObservedCacheReuse(t *testing.T) {
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := modeling.NewFitCache()
-	first, err := FitParallel(c, nil, 4, cache)
+	first, _, err := FitAllObserved([]*Campaign{c}, nil, 4, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	entries := cache.Len()
-	second, err := FitParallel(c, nil, 4, cache)
+	second, _, err := FitAllObserved([]*Campaign{c}, nil, 4, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +145,7 @@ func TestFitParallelCacheReuse(t *testing.T) {
 		t.Error("second fit recorded no cache hits")
 	}
 	for _, m := range metrics.All() {
-		if first.Info[m] != second.Info[m] {
+		if first[0].Info[m] != second[0].Info[m] {
 			t.Errorf("%s: refit despite identical campaign", m)
 		}
 	}

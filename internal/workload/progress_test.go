@@ -21,8 +21,8 @@ func TestResilientRunnerProgress(t *testing.T) {
 	var dones []int
 	var totals []int
 	r := &ResilientRunner{
-		App:     app,
-		Workers: 3,
+		App:  app,
+		Exec: poolExec(3),
 		Progress: func(done, total int) {
 			mu.Lock()
 			dones = append(dones, done)

@@ -3,18 +3,13 @@ package workload
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"extrareq/internal/apps"
 	"extrareq/internal/locality"
-	"extrareq/internal/modeling"
 	"extrareq/internal/obs"
 	"extrareq/internal/simmpi"
 )
@@ -54,15 +49,12 @@ type ResilientRunner struct {
 	// MinPoints is the per-axis coverage threshold for degradation
 	// warnings. 0 means FivePointRule.
 	MinPoints int
-	// Workers bounds the configurations measured concurrently (<= 0
-	// selects GOMAXPROCS). Ignored when Exec is set.
-	Workers int
-	// Exec, when non-nil, replaces the runner's internal worker pool: the
-	// campaign's configurations are handed to it as independent tasks.
-	// Campaign schedulers use this to fan many campaigns through one
-	// shared pool. Results are byte-identical either way — each task
-	// writes only its own slot and the runner's seeds do not depend on
-	// scheduling.
+	// Exec runs the campaign's configurations as independent tasks; the
+	// campaign scheduler passes its shared worker pool here. nil measures
+	// them one at a time, in grid order, on the caller's goroutine — the
+	// serial reference every pool must reproduce. Results are
+	// byte-identical either way: each task writes only its own slot and
+	// the runner's seeds do not depend on scheduling.
 	Exec ExecFunc
 	// Sleep replaces time.Sleep for backoff waits (test hook). nil uses
 	// time.Sleep.
@@ -264,8 +256,8 @@ func (r *ResilientRunner) runTimeout() time.Duration {
 }
 
 // measureOnce executes every repeat of one configuration with the
-// attempt's derived fault seeds and aggregates the sample exactly like
-// RunParallel.
+// attempt's derived fault seeds and aggregates the sample: the mean over
+// repeats, plus the per-run values when there is more than one.
 func (r *ResilientRunner) measureOnce(grid Grid, p, n, attempt int, stackDistance float64, cm *campaignMetrics) (Sample, error) {
 	repeats := grid.Repeats
 	if repeats < 1 {
@@ -357,36 +349,13 @@ func (r *ResilientRunner) measureConfig(grid Grid, p, n int, stackDistance float
 // started task finished, so run never executes after ExecFunc returns.
 type ExecFunc func(n int, run func(i int)) error
 
-// ownPoolExec is the default executor: a private pool of `workers`
-// goroutines, labeled for pprof so the campaign pool is identifiable in
-// goroutine and CPU profiles when the harness runs with -pprof.
-func ownPoolExec(workers int, app string) ExecFunc {
-	return func(n int, run func(i int)) error {
-		if workers > n {
-			workers = n
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				labels := pprof.Labels("pool", "workload.ResilientRunner",
-					"app", app, "worker", strconv.Itoa(w))
-				pprof.Do(context.Background(), labels, func(context.Context) {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						run(i)
-					}
-				})
-			}(w)
-		}
-		wg.Wait()
-		return nil
+// serialExec is the executor of a runner without Exec: every task on the
+// caller's goroutine, in index order.
+func serialExec(n int, run func(i int)) error {
+	for i := 0; i < n; i++ {
+		run(i)
 	}
+	return nil
 }
 
 // Run measures the app over the grid with retries and quarantine, and
@@ -459,17 +428,10 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 		stackByN[n] = locality.MedianStackDistance(groups)
 	}
 
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(missing) {
-		workers = len(missing)
-	}
 	cm := newCampaignMetrics(r.Metrics)
 	exec := r.Exec
 	if exec == nil {
-		exec = ownPoolExec(workers, r.App.Name())
+		exec = serialExec
 	}
 	var finished atomic.Int64
 	finished.Store(int64(prefilled))
@@ -522,23 +484,6 @@ func (r *ResilientRunner) minPoints() int {
 		return r.MinPoints
 	}
 	return FivePointRule
-}
-
-// RunAndFit is Run followed by a graceful-degradation fit: the models are
-// generated from whatever grid points survived, and the report carries the
-// axis warnings that tell the caller how constrained those models really
-// are. The fit error (e.g. a metric with no surviving measurements) is
-// returned alongside the report, never silently.
-func (r *ResilientRunner) RunAndFit(ctx context.Context, grid Grid, opts *modeling.Options) (*Campaign, *FitResult, *CampaignReport, error) {
-	c, report, err := r.Run(ctx, grid)
-	if err != nil {
-		return nil, nil, report, err
-	}
-	fit, err := Fit(c, opts)
-	if err != nil {
-		return c, nil, report, fmt.Errorf("workload: degraded campaign could not be fitted: %w", err)
-	}
-	return c, fit, report, nil
 }
 
 // coverageWarnings converts surviving axis coverage into five-point-rule

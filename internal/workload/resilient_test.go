@@ -163,11 +163,11 @@ func TestResilientPartialQuarantineDegrades(t *testing.T) {
 
 // TestResilientDeterministicAcrossWorkers is the acceptance criterion: a
 // fixed-seed fault plan yields byte-identical campaign outcomes across
-// repeated runs and across worker counts. Delay faults are excluded (pure
-// wall-clock) but kills, drops, duplicates, and counter perturbation are
-// all active.
+// repeated runs and across worker counts, with the serial runner (nil
+// Exec) as the reference. Delay faults are excluded (pure wall-clock) but
+// kills, drops, duplicates, and counter perturbation are all active.
 func TestResilientDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
+	run := func(exec ExecFunc) string {
 		t.Helper()
 		plan := simmpi.NewFaultPlan(3)
 		plan.Kill, plan.Drop, plan.Dup, plan.Perturb = 0.3, 0.001, 0.002, 0.05
@@ -176,7 +176,7 @@ func TestResilientDeterministicAcrossWorkers(t *testing.T) {
 			Faults:     plan,
 			Retries:    2,
 			RunTimeout: 150 * time.Millisecond,
-			Workers:    workers,
+			Exec:       exec,
 			Sleep:      noSleep,
 		}
 		c, report, err := r.Run(context.Background(), resilientGrid)
@@ -193,18 +193,18 @@ func TestResilientDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return string(cj) + "\n" + string(rj)
 	}
-	ref := run(1)
+	ref := run(nil)
 	for _, workers := range []int{1, 2, 8} {
-		if got := run(workers); got != ref {
-			t.Errorf("campaign with %d workers differs from the single-worker reference:\n%s\n---\n%s", workers, got, ref)
+		if got := run(poolExec(workers)); got != ref {
+			t.Errorf("campaign with %d workers differs from the serial reference:\n%s\n---\n%s", workers, got, ref)
 		}
 	}
 }
 
-// TestRunAndFitDegraded: graceful degradation end to end — a campaign that
-// loses points still fits models from the survivors, and the report carries
-// the warnings that qualify them.
-func TestRunAndFitDegraded(t *testing.T) {
+// TestFitDegradedCampaign: graceful degradation end to end — a campaign
+// that loses points still fits models from the survivors, and the report
+// carries the warnings that qualify them.
+func TestFitDegradedCampaign(t *testing.T) {
 	plan := simmpi.NewFaultPlan(5)
 	plan.Kill = 0.5
 	r := &ResilientRunner{
@@ -218,12 +218,13 @@ func TestRunAndFitDegraded(t *testing.T) {
 	// value survives in at least one configuration; with kill=0.5 and one
 	// retry roughly a quarter of the configurations are quarantined.
 	grid := Grid{Procs: []int{2, 3, 4, 5, 6}, Ns: []int{32, 40, 48, 56, 64}, Seed: 42}
-	c, fit, report, err := r.RunAndFit(context.Background(), grid, nil)
+	c, report, err := r.Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit == nil {
-		t.Fatal("no fit from surviving campaign")
+	fit, err := Fit(c, nil)
+	if err != nil {
+		t.Fatalf("surviving campaign could not be fitted: %v", err)
 	}
 	if len(fit.App.Models) == 0 {
 		t.Error("fit produced no models")
@@ -239,22 +240,23 @@ func TestRunAndFitDegraded(t *testing.T) {
 	}
 }
 
-// TestResilientHealthySystemNoOverhead: without a fault plan the runner is
-// RunParallel with insurance — same campaign, clean report.
+// TestResilientHealthySystemNoOverhead: without a fault plan, retries and
+// a coverage threshold are pure insurance — the same campaign as a bare
+// runner, and a clean report.
 func TestResilientHealthySystemNoOverhead(t *testing.T) {
 	r := &ResilientRunner{App: apps.NewKripke(), Retries: 2, MinPoints: 2, Sleep: noSleep}
 	c, report, err := r.Run(context.Background(), resilientGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunParallel(apps.NewKripke(), resilientGrid, 0)
+	ref, err := measure(apps.NewKripke(), resilientGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := json.Marshal(c)
 	b, _ := json.Marshal(ref)
 	if string(a) != string(b) {
-		t.Error("resilient campaign on a healthy system differs from RunParallel")
+		t.Error("resilient campaign on a healthy system differs from a bare runner")
 	}
 	if report.Degraded() || report.ExtraRuns != 0 || report.Recovered != 0 {
 		t.Errorf("healthy campaign report is not clean: %+v", report)

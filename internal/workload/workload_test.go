@@ -22,7 +22,7 @@ var smallGrid = Grid{
 }
 
 func TestRunCampaign(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func TestGridValidate(t *testing.T) {
 	if err := (Grid{}).Validate(); err == nil {
 		t.Error("empty grid should fail")
 	}
-	if _, err := Run(apps.NewKripke(), Grid{}); err == nil {
-		t.Error("Run should reject empty grid")
+	if _, err := measure(apps.NewKripke(), Grid{}); err == nil {
+		t.Error("measure should reject empty grid")
 	}
 	if err := (Grid{Procs: []int{0, 2}, Ns: []int{64}}).Validate(); err == nil {
 		t.Error("non-positive process count should fail")
@@ -102,7 +102,7 @@ func TestDefaultGridsCoverAllApps(t *testing.T) {
 }
 
 func TestMeasurementsConversion(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMeasurementsConversion(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	c, err := Run(apps.NewKripke(), Grid{Procs: []int{2, 4}, Ns: []int{64, 128}, Seed: 1})
+	c, err := measure(apps.NewKripke(), Grid{Procs: []int{2, 4}, Ns: []int{64, 128}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestMessageCountsModelable(t *testing.T) {
 	// Message counts are captured beyond Table I and can be modeled through
 	// the generic pipeline, enabling latency-aware analyses.
-	c, err := Run(apps.NewMILC(), smallGrid)
+	c, err := measure(apps.NewMILC(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func modelOptsWithCollectives() *modeling.Options {
 
 func TestRepeatedRuns(t *testing.T) {
 	grid := Grid{Procs: []int{2, 4, 8, 16, 32}, Ns: []int{64, 128, 256, 512, 1024}, Seed: 9, Repeats: 3}
-	c, err := Run(apps.NewKripke(), grid)
+	c, err := measure(apps.NewKripke(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRepeatedRuns(t *testing.T) {
 func TestMeasuredWarningsMatchPaperFlags(t *testing.T) {
 	// End-to-end: the warnings computed from *fitted* models reproduce the
 	// paper's key flags — Kripke's loads/stores and icoFoam's footprint.
-	kripke, err := Run(apps.NewKripke(), DefaultGrid("Kripke"))
+	kripke, err := measure(apps.NewKripke(), DefaultGrid("Kripke"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMeasuredWarningsMatchPaperFlags(t *testing.T) {
 		t.Errorf("measured Kripke footprint wrongly flagged: %s", kf.App.Models[metrics.MemoryBytes])
 	}
 
-	ico, err := Run(apps.NewIcoFoam(), DefaultGrid("icoFoam"))
+	ico, err := measure(apps.NewIcoFoam(), DefaultGrid("icoFoam"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMeasuredWarningsMatchPaperFlags(t *testing.T) {
 }
 
 func TestFitKripkeShapes(t *testing.T) {
-	c, err := Run(apps.NewKripke(), DefaultGrid("Kripke"))
+	c, err := measure(apps.NewKripke(), DefaultGrid("Kripke"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFitKripkeShapes(t *testing.T) {
 }
 
 func TestFitLULESHShapes(t *testing.T) {
-	c, err := Run(apps.NewLULESH(), DefaultGrid("LULESH"))
+	c, err := measure(apps.NewLULESH(), DefaultGrid("LULESH"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestFitLULESHShapes(t *testing.T) {
 }
 
 func TestFitRelearnShapes(t *testing.T) {
-	c, err := Run(apps.NewRelearn(), DefaultGrid("Relearn"))
+	c, err := measure(apps.NewRelearn(), DefaultGrid("Relearn"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestFitRelearnShapes(t *testing.T) {
 }
 
 func TestFitMILCStackDistanceGrows(t *testing.T) {
-	c, err := Run(apps.NewMILC(), DefaultGrid("MILC"))
+	c, err := measure(apps.NewMILC(), DefaultGrid("MILC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestFitMILCStackDistanceGrows(t *testing.T) {
 }
 
 func TestFitResultRelErrors(t *testing.T) {
-	c, err := Run(apps.NewKripke(), smallGrid)
+	c, err := measure(apps.NewKripke(), smallGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestFitResultRelErrors(t *testing.T) {
 func TestFitUsesCollectivesForComm(t *testing.T) {
 	// The fit must at least run with collectives enabled and produce a
 	// valid comm model; presence of a Special factor depends on the app.
-	c, err := Run(apps.NewRelearn(), DefaultGrid("Relearn"))
+	c, err := measure(apps.NewRelearn(), DefaultGrid("Relearn"))
 	if err != nil {
 		t.Fatal(err)
 	}

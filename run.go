@@ -11,12 +11,11 @@ import (
 	"extrareq/internal/workload"
 )
 
-// This file is the package's measurement entry point: one Run function
-// with functional options, replacing the accreted Measure* variants (now
-// deprecated wrappers around Run). All measurement goes through
-// internal/campaign, so every call — resilient or healthy, observed or
-// not — shares one worker pool per invocation and can reuse results from
-// the content-addressed campaign cache (WithCache).
+// This file is the package's measurement entry point: Run (one app) and
+// RunAll (the five case-study apps), configured by functional options. All
+// measurement goes through internal/campaign, so every call — resilient or
+// healthy, observed or not — shares one worker pool per invocation and can
+// reuse results from the content-addressed campaign cache (WithCache).
 
 // Spec names what to measure: a proxy application (Kripke, LULESH, MILC,
 // Relearn, or icoFoam) and the p×n grid to run it over. A zero Grid
@@ -216,9 +215,8 @@ func WithoutModels() Option {
 }
 
 // Run measures one application according to spec and fits its requirement
-// models. It is the single entry point the deprecated Measure* helpers
-// wrap: faults, retries, observability, caching, and modeling are all
-// opt-in. On a campaign error the returned Result still carries the
+// models. Faults, retries, observability, caching, and adaptive grids are
+// opt-in; WithoutModels skips the fit. On a campaign error the returned Result still carries the
 // campaign report (when one was produced) so callers can render the
 // partial account.
 func Run(ctx context.Context, spec Spec, opts ...Option) (*Result, error) {
@@ -306,9 +304,8 @@ func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, 
 // RunAll measures and models every case-study application (PaperAppNames
 // order) through one shared worker pool and one fit cache, returning the
 // per-app results plus the Figure 3 error classes. A fault plan given via
-// WithFaults is re-seeded per app (derived from the app name), matching
-// the deprecated MeasureAndModelAllResilient behavior, so apps fail
-// independently but deterministically. On error the partial results (with
+// WithFaults is re-seeded per app (derived from the app name), so apps
+// fail independently but deterministically. On error the partial results (with
 // their campaign reports) come back alongside it.
 func RunAll(ctx context.Context, opts ...Option) ([]*Result, []ErrorClass, error) {
 	cfg := newRunConfig(opts)

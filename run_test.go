@@ -11,10 +11,11 @@ import (
 	"extrareq/internal/workload"
 )
 
-// The deprecated facade functions are wrappers over Run/RunAll, so their
-// contract — byte-identical results to the pre-Run pipeline — is checked
-// here against the old implementation paths directly (workload.Run and a
-// bare ResilientRunner).
+// Run and RunAll measure through the campaign scheduler's shared pool and
+// fit through workload.FitAllObserved; their contract — byte-identical
+// results to the plain pipeline — is checked here against a bare serial
+// workload.ResilientRunner (nil Exec) followed by workload.Fit or
+// workload.FitAllObserved.
 
 func smallGrid() Grid {
 	return Grid{Procs: []int{2, 4}, Ns: []int{64, 128}, Seed: 11, Repeats: 2}
@@ -41,7 +42,7 @@ func TestRunMatchesLegacyHealthyPipeline(t *testing.T) {
 		t.Fatal("Kripke not registered")
 	}
 	grid := fitGrid()
-	want, err := workload.Run(app, grid) // the old Measure/MeasureGrid path
+	want, _, err := (&workload.ResilientRunner{App: app}).Run(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRunMatchesLegacyHealthyPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(asJSON(t, want), asJSON(t, res.Campaign)) {
-		t.Error("Run campaign differs from the legacy healthy pipeline")
+		t.Error("Run campaign differs from the serial bare runner")
 	}
 	if res.Report == nil || res.Report.Degraded() {
 		t.Errorf("healthy run report = %+v, want non-nil and undegraded", res.Report)
@@ -59,21 +60,12 @@ func TestRunMatchesLegacyHealthyPipeline(t *testing.T) {
 	if res.Requirements == nil {
 		t.Fatal("Run did not fit models")
 	}
-	wantFit, err := workload.Fit(want, nil) // the old Model path
+	wantFit, err := workload.Fit(want, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(asJSON(t, wantFit), asJSON(t, res.Requirements)) {
-		t.Error("Run requirements differ from the legacy Model path")
-	}
-
-	// And the deprecated wrapper built on Run agrees with the old path too.
-	got, err := MeasureGrid("Kripke", grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, want), asJSON(t, got)) {
-		t.Error("MeasureGrid differs from the legacy healthy pipeline")
+		t.Error("Run requirements differ from the plain Fit path")
 	}
 }
 
@@ -87,34 +79,38 @@ func TestRunMatchesLegacyResilientPipeline(t *testing.T) {
 		t.Fatal("LULESH not registered")
 	}
 	grid := smallGrid()
-	r := &ResilientRunner{App: app, Faults: plan, Retries: 2, MinPoints: 3}
-	wantC, wantRep, err := r.Run(context.Background(), grid) // the old MeasureResilient path
-	if err != nil {
-		t.Fatal(err)
+	// Most runs under this plan hang on a dropped message until the run
+	// watchdog fires, so the time is spent waiting, not computing: the
+	// serial reference runs alongside Run and the test waits once.
+	type campaignRun struct {
+		c   *Campaign
+		rep *CampaignReport
+		err error
 	}
+	ref := make(chan campaignRun, 1)
+	go func() {
+		r := &workload.ResilientRunner{App: app, Faults: plan, Retries: 2, MinPoints: 3}
+		c, rep, err := r.Run(context.Background(), grid)
+		ref <- campaignRun{c, rep, err}
+	}()
 
 	res, err := Run(context.Background(), Spec{App: "LULESH", Grid: grid},
 		WithFaults(plan), WithRetries(2), WithMinPoints(3), WithoutModels())
+	want := <-ref
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Requirements != nil {
 		t.Error("WithoutModels still fitted models")
 	}
-	if !bytes.Equal(asJSON(t, wantC), asJSON(t, res.Campaign)) {
-		t.Error("Run campaign differs from the legacy resilient pipeline")
+	if !bytes.Equal(asJSON(t, want.c), asJSON(t, res.Campaign)) {
+		t.Error("Run campaign differs from the serial resilient runner")
 	}
-	if !bytes.Equal(asJSON(t, wantRep), asJSON(t, res.Report)) {
-		t.Error("Run report differs from the legacy resilient pipeline")
-	}
-
-	gotC, gotRep, err := MeasureResilient("LULESH", grid, plan, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, wantC), asJSON(t, gotC)) ||
-		!bytes.Equal(asJSON(t, wantRep), asJSON(t, gotRep)) {
-		t.Error("MeasureResilient differs from the legacy resilient pipeline")
+	if !bytes.Equal(asJSON(t, want.rep), asJSON(t, res.Report)) {
+		t.Error("Run report differs from the serial resilient runner")
 	}
 }
 
@@ -135,19 +131,19 @@ func TestRunAllDerivesPerAppPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Old MeasureAndModelAllResilient path, inlined: per-app derived plans
-	// over the (substituted) default grids, one shared fit cache.
+	// The plain pipeline: per-app derived plans over the (substituted)
+	// default grids, serial bare runners, one shared fit cache.
 	all := apps.All()
 	campaigns := make([]*Campaign, len(all))
 	reports := make([]*CampaignReport, len(all))
 	for i, a := range all {
-		r := &ResilientRunner{App: a, Faults: plan.Derive(appSalt(a.Name())), Retries: 2}
+		r := &workload.ResilientRunner{App: a, Faults: plan.Derive(appSalt(a.Name())), Retries: 2}
 		campaigns[i], reports[i], err = r.Run(context.Background(), defaultGridFor(a.Name()))
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 	}
-	wantFits, wantClasses, err := workload.FitAllParallel(campaigns, nil, 0, NewFitCache())
+	wantFits, wantClasses, err := workload.FitAllObserved(campaigns, nil, 0, NewFitCache(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,19 +157,19 @@ func TestRunAllDerivesPerAppPlans(t *testing.T) {
 	}
 	for i := range results {
 		if !bytes.Equal(asJSON(t, campaigns[i]), asJSON(t, results[i].Campaign)) {
-			t.Errorf("%s: RunAll campaign differs from legacy path", all[i].Name())
+			t.Errorf("%s: RunAll campaign differs from the serial pipeline", all[i].Name())
 		}
 		if !bytes.Equal(asJSON(t, reports[i]), asJSON(t, results[i].Report)) {
-			t.Errorf("%s: RunAll report differs from legacy path", all[i].Name())
+			t.Errorf("%s: RunAll report differs from the serial pipeline", all[i].Name())
 		}
 		// Fit diagnostics can hold ±Inf on tiny grids, which JSON refuses;
 		// DeepEqual still demands exact equality.
 		if !reflect.DeepEqual(wantFits[i], results[i].Requirements) {
-			t.Errorf("%s: RunAll requirements differ from legacy path", all[i].Name())
+			t.Errorf("%s: RunAll requirements differ from the serial pipeline", all[i].Name())
 		}
 	}
 	if !reflect.DeepEqual(wantClasses, classes) {
-		t.Error("RunAll error classes differ from legacy path")
+		t.Error("RunAll error classes differ from the serial pipeline")
 	}
 }
 

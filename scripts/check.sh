@@ -40,6 +40,12 @@ go test -race ./...
 echo "== adaptive -race soak =="
 go test -race -count=1 -run 'TestAdaptiveSharedStoreSoak|TestAdaptiveDeterministic' ./internal/adaptive/
 
+# Fit-cache soak: identical fit tasks racing on one fingerprint must be
+# fitted exactly once, every other copy counting as a cache hit. A lost
+# race shows up only intermittently, so the test repeats under -race.
+echo "== fit cache single-flight -race soak =="
+go test -race -count=20 -run TestFitAllObservedMetrics ./internal/workload/
+
 # Bench smoke: one iteration of every Measure* benchmark, so a change that
 # breaks the hot-path or cache benches fails the gate without paying for a
 # full benchmark run.

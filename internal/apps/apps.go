@@ -132,7 +132,9 @@ const workSampling = 8
 
 // jitter returns a deterministic multiplicative noise factor ~ N(1, sigma)
 // for the given config and stream label, emulating run-to-run convergence
-// variation. The factor is clamped to [1-3sigma, 1+3sigma].
+// variation. The factor is clamped to [1-3sigma, 1+3sigma]. It depends
+// only on cfg and stream, so each app computes it once per Run and every
+// rank shares it.
 func jitter(cfg Config, stream string, sigma float64) float64 {
 	h := int64(1469598103934665603)
 	for _, b := range []byte(stream) {

@@ -15,13 +15,14 @@ func (p *Profiler) InclusiveMetric(path, metric string) (float64, bool) {
 	if n == nil {
 		return 0, false
 	}
-	return inclusive(n, metric), true
+	m, _ := MetricByName(metric)
+	return inclusive(n, m), true
 }
 
-func inclusive(n *Node, metric string) float64 {
-	total := n.Metrics[metric]
+func inclusive(n *Node, m Metric) float64 {
+	total := n.value(m)
 	for _, c := range n.Children {
-		total += inclusive(c, metric)
+		total += inclusive(c, m)
 	}
 	return total
 }
@@ -31,14 +32,15 @@ func inclusive(n *Node, metric string) float64 {
 // path. It stops when no child contributes more than half of the current
 // node's inclusive value (the usual hot-path cutoff).
 func (p *Profiler) HotPath(metric string) string {
+	m, _ := MetricByName(metric)
 	path := p.root.Name
 	n := p.root
 	for {
-		total := inclusive(n, metric)
+		total := inclusive(n, m)
 		var best *Node
 		bestVal := 0.0
 		for _, c := range n.Children {
-			if v := inclusive(c, metric); v > bestVal {
+			if v := inclusive(c, m); v > bestVal {
 				best, bestVal = c, v
 			}
 		}
@@ -60,14 +62,15 @@ type PathRank struct {
 // TopPaths returns the k call paths with the largest exclusive values of
 // the metric, descending (fewer if the tree is smaller).
 func (p *Profiler) TopPaths(metric string, k int) []PathRank {
+	m, _ := MetricByName(metric)
 	var all []PathRank
 	var walk func(n *Node, prefix string)
 	walk = func(n *Node, prefix string) {
 		path := prefix + n.Name
 		all = append(all, PathRank{
 			Path:      path,
-			Exclusive: n.Metrics[metric],
-			Inclusive: inclusive(n, metric),
+			Exclusive: n.value(m),
+			Inclusive: inclusive(n, m),
 		})
 		for _, c := range n.Children {
 			walk(c, path+"/")

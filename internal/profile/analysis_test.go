@@ -6,18 +6,18 @@ import "testing"
 // precond(flop 5)}, main -> io(flop 4).
 func buildTestProfile() *Profiler {
 	p := New()
-	p.AddMetric("flop", 1)
+	p.AddMetric(Flop, 1)
 	p.Enter("solver")
-	p.AddMetric("flop", 10)
+	p.AddMetric(Flop, 10)
 	p.Enter("cg")
-	p.AddMetric("flop", 80)
+	p.AddMetric(Flop, 80)
 	p.Exit("cg")
 	p.Enter("precond")
-	p.AddMetric("flop", 5)
+	p.AddMetric(Flop, 5)
 	p.Exit("precond")
 	p.Exit("solver")
 	p.Enter("io")
-	p.AddMetric("flop", 4)
+	p.AddMetric(Flop, 4)
 	p.Exit("io")
 	return p
 }
@@ -54,16 +54,16 @@ func TestHotPath(t *testing.T) {
 		t.Errorf("HotPath = %q, want main/solver/cg", got)
 	}
 	// With a metric nobody recorded, the hot path is just the root.
-	if got := p.HotPath("bytes"); got != "main" {
-		t.Errorf("HotPath(bytes) = %q, want main", got)
+	if got := p.HotPath("bytes_sent"); got != "main" {
+		t.Errorf("HotPath(bytes_sent) = %q, want main", got)
 	}
 }
 
 func TestHotPathStopsBelowMajority(t *testing.T) {
 	p := New()
-	p.InRegion("a", func() { p.AddMetric("flop", 30) })
-	p.InRegion("b", func() { p.AddMetric("flop", 30) })
-	p.InRegion("c", func() { p.AddMetric("flop", 40) })
+	p.InRegion("a", func() { p.AddMetric(Flop, 30) })
+	p.InRegion("b", func() { p.AddMetric(Flop, 30) })
+	p.InRegion("c", func() { p.AddMetric(Flop, 40) })
 	// No child holds >= half of the total (100): stop at root.
 	if got := p.HotPath("flop"); got != "main" {
 		t.Errorf("HotPath = %q, want main (no majority child)", got)

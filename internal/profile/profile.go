@@ -15,36 +15,82 @@ import (
 	"strings"
 )
 
+// Metric identifies one per-call-path metric. Each node accumulates every
+// metric in a fixed slot, so recording a value is an array add rather than
+// a map assignment.
+type Metric uint8
+
+// The metrics the simulated runtime attributes to call paths.
+const (
+	Flop Metric = iota
+	Loads
+	Stores
+	BytesSent
+	BytesRecv
+	NumMetrics
+)
+
+// metricNames are the string keys used by the string-keyed readers, by
+// Flatten and in the JSON encoding.
+var metricNames = [NumMetrics]string{"flop", "loads", "stores", "bytes_sent", "bytes_recv"}
+
+// String returns the metric's name.
+func (m Metric) String() string {
+	if m >= NumMetrics {
+		return fmt.Sprintf("metric(%d)", int(m))
+	}
+	return metricNames[m]
+}
+
+// MetricByName resolves a metric name. An unknown name resolves to
+// NumMetrics, which every reader treats as a metric never added.
+func MetricByName(name string) (Metric, bool) {
+	for i, n := range metricNames {
+		if n == name {
+			return Metric(i), true
+		}
+	}
+	return NumMetrics, false
+}
+
 // Node is one call-path node: a region name in the context of its parent
 // chain, with metric accumulators.
 type Node struct {
-	Name     string             `json:"name"`
-	Metrics  map[string]float64 `json:"metrics,omitempty"`
-	Visits   int64              `json:"visits,omitempty"`
-	Children []*Node            `json:"children,omitempty"`
+	Name     string
+	Visits   int64
+	Children []*Node
 
+	vals [NumMetrics]float64
+	// set has bit m once metric m has been added, even with a zero value
+	// (Barrier's empty payload), so such a metric is still reported.
+	set    uint8
 	parent *Node
-	index  map[string]*Node
 }
 
-func newNode(name string, parent *Node) *Node {
-	return &Node{Name: name, parent: parent, index: map[string]*Node{}}
+// Metric returns the node's exclusive value of m and whether m was ever
+// added to the node.
+func (n *Node) Metric(m Metric) (float64, bool) {
+	if m >= NumMetrics {
+		return 0, false
+	}
+	return n.vals[m], n.set&(1<<m) != 0
+}
+
+// value is the exclusive value of m, 0 for an unknown metric.
+func (n *Node) value(m Metric) float64 {
+	v, _ := n.Metric(m)
+	return v
 }
 
 // child returns (creating if needed) the child with the given name.
 func (n *Node) child(name string) *Node {
-	if n.index == nil {
-		n.index = map[string]*Node{}
-		for _, c := range n.Children {
-			n.index[c.Name] = c
+	for _, c := range n.Children {
+		if c.Name == name {
+			return c
 		}
 	}
-	c, ok := n.index[name]
-	if !ok {
-		c = newNode(name, n)
-		n.index[name] = c
-		n.Children = append(n.Children, c)
-	}
+	c := &Node{Name: name, parent: n}
+	n.Children = append(n.Children, c)
 	return c
 }
 
@@ -56,8 +102,7 @@ type Profiler struct {
 
 // New returns an empty profiler whose root region is "main".
 func New() *Profiler {
-	root := newNode("main", nil)
-	root.Visits = 1
+	root := &Node{Name: "main", Visits: 1}
 	return &Profiler{root: root, current: root}
 }
 
@@ -87,11 +132,10 @@ func (p *Profiler) InRegion(region string, f func()) {
 }
 
 // AddMetric accumulates a metric value on the current call path.
-func (p *Profiler) AddMetric(metric string, v float64) {
-	if p.current.Metrics == nil {
-		p.current.Metrics = map[string]float64{}
-	}
-	p.current.Metrics[metric] += v
+func (p *Profiler) AddMetric(m Metric, v float64) {
+	c := p.current
+	c.vals[m] += v
+	c.set |= 1 << m
 }
 
 // Root returns the root node of the call tree.
@@ -110,7 +154,7 @@ func (p *Profiler) Depth() int {
 type PathMetrics struct {
 	Path    string // "main/solver/allreduce"
 	Visits  int64
-	Metrics map[string]float64
+	Metrics map[string]float64 // nil when no metric was added on the path
 }
 
 // Flatten returns all call paths with their metrics, sorted by path.
@@ -119,7 +163,7 @@ func (p *Profiler) Flatten() []PathMetrics {
 	var walk func(n *Node, prefix string)
 	walk = func(n *Node, prefix string) {
 		path := prefix + n.Name
-		out = append(out, PathMetrics{Path: path, Visits: n.Visits, Metrics: copyMetrics(n.Metrics)})
+		out = append(out, PathMetrics{Path: path, Visits: n.Visits, Metrics: n.metricMap()})
 		for _, c := range n.Children {
 			walk(c, path+"/")
 		}
@@ -129,12 +173,27 @@ func (p *Profiler) Flatten() []PathMetrics {
 	return out
 }
 
+// metricMap returns the node's added metrics keyed by name, nil if none.
+func (n *Node) metricMap() map[string]float64 {
+	if n.set == 0 {
+		return nil
+	}
+	out := make(map[string]float64, NumMetrics)
+	for m := Metric(0); m < NumMetrics; m++ {
+		if v, ok := n.Metric(m); ok {
+			out[metricNames[m]] = v
+		}
+	}
+	return out
+}
+
 // MetricTotal returns the sum of the named metric over the whole call tree.
 func (p *Profiler) MetricTotal(metric string) float64 {
+	m, _ := MetricByName(metric)
 	var total float64
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		total += n.Metrics[metric]
+		total += n.value(m)
 		for _, c := range n.Children {
 			walk(c)
 		}
@@ -164,7 +223,8 @@ func (p *Profiler) PathMetric(path, metric string) float64 {
 		}
 		n = next
 	}
-	return n.Metrics[metric]
+	m, _ := MetricByName(metric)
+	return n.value(m)
 }
 
 // Merge adds the call tree of o into p (summing metrics and visits of
@@ -173,12 +233,10 @@ func (p *Profiler) Merge(o *Profiler) {
 	var merge func(dst, src *Node)
 	merge = func(dst, src *Node) {
 		dst.Visits += src.Visits
-		for k, v := range src.Metrics {
-			if dst.Metrics == nil {
-				dst.Metrics = map[string]float64{}
-			}
-			dst.Metrics[k] += v
+		for m := range src.vals {
+			dst.vals[m] += src.vals[m]
 		}
+		dst.set |= src.set
 		for _, sc := range src.Children {
 			merge(dst.child(sc.Name), sc)
 		}
@@ -206,19 +264,40 @@ func (p *Profiler) UnmarshalJSON(data []byte) error {
 
 func fixParents(n *Node, parent *Node) {
 	n.parent = parent
-	n.index = nil
 	for _, c := range n.Children {
 		fixParents(c, n)
 	}
 }
 
-func copyMetrics(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
+// nodeJSON is a node's wire shape: metrics are an object keyed by metric
+// name holding only the metrics that were added.
+type nodeJSON struct {
+	Name     string             `json:"name"`
+	Metrics  map[string]float64 `json:"metrics,omitempty"`
+	Visits   int64              `json:"visits,omitempty"`
+	Children []*Node            `json:"children,omitempty"`
+}
+
+// MarshalJSON encodes the subtree rooted at n.
+func (n *Node) MarshalJSON() ([]byte, error) {
+	return json.Marshal(nodeJSON{Name: n.Name, Metrics: n.metricMap(), Visits: n.Visits, Children: n.Children})
+}
+
+// UnmarshalJSON decodes a subtree encoded by MarshalJSON. A metric name
+// the profiler does not know is an error.
+func (n *Node) UnmarshalJSON(data []byte) error {
+	var w nodeJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
 	}
-	c := make(map[string]float64, len(m))
-	for k, v := range m {
-		c[k] = v
+	*n = Node{Name: w.Name, Visits: w.Visits, Children: w.Children}
+	for name, v := range w.Metrics {
+		m, ok := MetricByName(name)
+		if !ok {
+			return fmt.Errorf("profile: unknown metric %q", name)
+		}
+		n.vals[m] = v
+		n.set |= 1 << m
 	}
-	return c
+	return nil
 }

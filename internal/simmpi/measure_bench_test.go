@@ -3,6 +3,8 @@ package simmpi
 import (
 	"fmt"
 	"testing"
+
+	"extrareq/internal/profile"
 )
 
 // The BenchmarkMeasure* family tracks the measurement substrate's hot
@@ -140,5 +142,37 @@ func BenchmarkMeasureHaloExchange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMeasureWorldSetup is a 32-rank run whose ranks do nothing: the
+// fixed cost of standing up and tearing down a world (rank goroutines,
+// counter sets, profilers, the channel table). Channels are created on
+// first use, so allocs/op must not grow with the p² rank pairs.
+func BenchmarkMeasureWorldSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(32, func(p *Proc) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMeasureProfile is the call-path accounting every instrumented
+// event pays: entering a region, adding metrics to fixed slots, exiting.
+// A warm tree allocates nothing.
+func BenchmarkMeasureProfile(b *testing.B) {
+	prof := profile.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prof.Enter("cg")
+		prof.AddMetric(profile.Flop, 34)
+		prof.AddMetric(profile.Loads, 8)
+		prof.Enter("MPI_Allreduce")
+		prof.AddMetric(profile.BytesSent, 16)
+		prof.AddMetric(profile.BytesRecv, 16)
+		prof.Exit("MPI_Allreduce")
+		prof.Exit("cg")
 	}
 }

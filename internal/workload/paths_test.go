@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"extrareq/internal/apps"
+	"extrareq/internal/counters"
 	"extrareq/internal/pmnf"
 )
 
@@ -41,6 +43,61 @@ func TestRunWithPathsAttributesComm(t *testing.T) {
 		}
 		if diff := (sum - total) / total; diff > 0.01 || diff < -0.01 {
 			t.Errorf("p=%d n=%d: path sum %g != total %g", s.P, s.N, sum, total)
+		}
+	}
+}
+
+// Every value the runtime counts is also attributed to exactly one call
+// path: summed over paths, the per-path means equal the per-process
+// counter means, for every proxy, at a power-of-two p and at one that is
+// not.
+func TestPathSumsMatchCounters(t *testing.T) {
+	grid := Grid{Procs: []int{3, 8}, Ns: []int{64}, Seed: 11}
+	for _, app := range apps.All() {
+		c, err := RunWithPaths(app, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range c.Samples {
+			results, err := app.Run(apps.Config{Procs: s.P, N: s.N, Seed: grid.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean := func(events ...counters.Event) float64 {
+				var sum int64
+				for _, r := range results {
+					for _, e := range events {
+						sum += r.Counters.Value(e)
+					}
+				}
+				return float64(sum) / float64(len(results))
+			}
+			pathSum := func(names ...string) float64 {
+				var sum float64
+				for _, ms := range s.PathMetrics {
+					for _, n := range names {
+						sum += ms[n]
+					}
+				}
+				return sum
+			}
+			for _, chk := range []struct {
+				name       string
+				paths, ctr float64
+			}{
+				{"flop", pathSum("flop"), mean(counters.FLOP)},
+				{"loads", pathSum("loads"), mean(counters.Load)},
+				{"stores", pathSum("stores"), mean(counters.Store)},
+				{"bytes_sent+bytes_recv", pathSum("bytes_sent", "bytes_recv"), mean(counters.BytesSent, counters.BytesRecv)},
+			} {
+				if math.Abs(chk.paths-chk.ctr) > 1e-9*math.Max(1, chk.ctr) {
+					t.Errorf("%s p=%d n=%d %s: path sum %g != counter mean %g",
+						app.Name(), s.P, s.N, chk.name, chk.paths, chk.ctr)
+				}
+			}
+			if got, want := mean(counters.FLOP), s.Values["flop"]; got != want {
+				t.Errorf("%s p=%d n=%d: rerun flop mean %g != campaign value %g", app.Name(), s.P, s.N, got, want)
+			}
 		}
 	}
 }

@@ -46,6 +46,12 @@ go test -race -count=1 -run 'TestAdaptiveSharedStoreSoak|TestAdaptiveDeterminist
 echo "== fit cache single-flight -race soak =="
 go test -race -count=20 -run TestFitAllObservedMetrics ./internal/workload/
 
+# Lazy-channel soak: both ends of untouched rank pairs create the pair's
+# channel at the same moment. A lost compare-and-swap race drops messages
+# only intermittently, so the test repeats under -race.
+echo "== simmpi lazy channel -race soak =="
+go test -race -count=20 -run TestLazyChannel ./internal/simmpi/
+
 # Bench smoke: one iteration of every Measure* benchmark, so a change that
 # breaks the hot-path or cache benches fails the gate without paying for a
 # full benchmark run.
@@ -59,7 +65,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # performance across the repo's history is comparable without re-running old
 # revisions. BENCH_PR stamps the PR number; BENCH_TIME trades gate time for
 # measurement stability.
-BENCH_PR=${BENCH_PR:-10}
+BENCH_PR=${BENCH_PR:-13}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
 {

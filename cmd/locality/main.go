@@ -65,7 +65,8 @@ func main() {
 	fitAndPrint("blocked kernel, group B", blockedS.b)
 	fmt.Println("\nInterpretation: growing models mean pressure on the memory subsystem")
 	fmt.Println("will increase with the problem size; constant models mean the kernel is")
-	fmt.Println("locality-preserving (§II-D).")
+	fmt.Println("locality-preserving (§II-D). Both kernels execute the same flops and")
+	fmt.Println("accesses, so the one with constant models is preferable.")
 }
 
 func addRow(t *report.Table, n int, kernel string, groups []locality.GroupStats) {

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,37 +31,56 @@ import (
 	"extrareq/internal/workload"
 )
 
+// errUsage reports a command line the flag set rejected; the usage text
+// is already on stderr.
+var errUsage = errors.New("usage")
+
 func main() {
-	quality := flag.Bool("quality", false, "print per-metric fit quality (CV SMAPE, R²)")
-	export := flag.String("export", "", "write the fitted models as JSON (consumable by 'codesign -models')")
-	plotMetric := flag.String("plot", "", "render ASCII charts of one metric vs its model (e.g. 'flop', 'bytes_used')")
-	byRegion := flag.Bool("byregion", false, "fit every region×metric series of Extra-P text files separately")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fatal(err)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("reqmodel", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quality := fs.Bool("quality", false, "print per-metric fit quality (CV SMAPE, R²)")
+	export := fs.String("export", "", "write the fitted models as JSON (consumable by 'codesign -models')")
+	plotMetric := fs.String("plot", "", "render ASCII charts of one metric vs its model (e.g. 'flop', 'bytes_used')")
+	byRegion := fs.Bool("byregion", false, "fit every region×metric series of Extra-P text files separately")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return errUsage
 	}
 	if *byRegion {
-		if err := fitByRegion(flag.Args()); err != nil {
-			fatal(err)
-		}
-		return
+		return fitByRegion(stdout, fs.Args())
 	}
 
 	// Load everything first, then fan every campaign×metric fit across one
 	// worker pool with a shared cache (identical series across files fit
 	// only once).
-	campaigns := make([]*workload.Campaign, flag.NArg())
-	for i, path := range flag.Args() {
+	campaigns := make([]*workload.Campaign, fs.NArg())
+	for i, path := range fs.Args() {
 		c, err := loadCampaign(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		campaigns[i] = c
 	}
 	fits, _, err := workload.FitAllObserved(campaigns, nil, 0, modeling.NewFitCache(), nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var fitted []extrareq.App
 	for i, fit := range fits {
@@ -67,35 +88,36 @@ func main() {
 		if *plotMetric != "" {
 			m, ok := metrics.ByName(*plotMetric)
 			if !ok {
-				fatal(fmt.Errorf("unknown metric %q", *plotMetric))
+				return fmt.Errorf("unknown metric %q", *plotMetric)
 			}
-			fmt.Println(report.ModelPlot(campaigns[i], fit.Info[m], m))
+			fmt.Fprintln(stdout, report.ModelPlot(campaigns[i], fit.Info[m], m))
 		}
 	}
 	if *quality {
-		fmt.Println(report.QualityTable(fits))
+		fmt.Fprintln(stdout, report.QualityTable(fits))
 	}
 	table, err := extrareq.RenderTable2(fitted, extrareq.DefaultBaseline())
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(table)
+	fmt.Fprintln(stdout, table)
 
 	if *export != "" {
 		data, err := codesign.SaveApps(fitted)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*export, data, 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote models to %s\n", *export)
+		fmt.Fprintf(stdout, "wrote models to %s\n", *export)
 	}
+	return nil
 }
 
 // fitByRegion fits every region×metric series of the given Extra-P text
 // files through the parallel pipeline and prints one model per series.
-func fitByRegion(paths []string) error {
+func fitByRegion(w io.Writer, paths []string) error {
 	cache := modeling.NewFitCache()
 	for _, path := range paths {
 		f, err := os.Open(path)
@@ -111,13 +133,13 @@ func fitByRegion(paths []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s:\n", path)
+		fmt.Fprintf(w, "%s:\n", path)
 		for _, s := range fits {
 			if s.Err != nil {
-				fmt.Printf("  %s/%s: unfittable: %v\n", s.Region, s.Metric, s.Err)
+				fmt.Fprintf(w, "  %s/%s: unfittable: %v\n", s.Region, s.Metric, s.Err)
 				continue
 			}
-			fmt.Printf("  %s/%s = %s  (CV SMAPE %.1f%%, R² %.3f)\n",
+			fmt.Fprintf(w, "  %s/%s = %s  (CV SMAPE %.1f%%, R² %.3f)\n",
 				s.Region, s.Metric, s.Info.Model, s.Info.SMAPE, s.Info.RSquared)
 		}
 	}

@@ -116,20 +116,15 @@ type Runner interface {
 // Result is a finished adaptive campaign. Campaign.Grid holds the full
 // requested grid (the spec), while Campaign.Samples holds only the
 // selected configurations' samples; Report.Configs counts the selection.
+// The embedded Outcome carries Key, the adaptive campaign key (the
+// fixed-grid key of the seed spec salted with the resolved adaptive
+// options); CacheHit, set when nothing was measured; and PointsReused /
+// PointsMeasured, which split the selected configurations by assembly
+// path (point-cache hit vs. executed).
 type Result struct {
-	Campaign *workload.Campaign
-	Report   *workload.CampaignReport
-	// Key is the adaptive campaign key: the fixed-grid key of the seed
-	// spec salted with the resolved adaptive options.
-	Key campaign.Key
-	// CacheHit reports the run was served from its own campaign entry.
-	CacheHit bool
-	// PointsReused / PointsMeasured split the selected configurations by
-	// assembly path (point-cache hit vs. executed); PointsSaved counts
-	// full-grid configurations never selected at all.
-	PointsReused   int
-	PointsMeasured int
-	PointsSaved    int
+	campaign.Outcome
+	// PointsSaved counts full-grid configurations never selected at all.
+	PointsSaved int
 	// FullGridPoints is the size of the requested grid.
 	FullGridPoints int
 	// Rounds counts fits over the measured set (0 for a cache hit).
@@ -216,9 +211,9 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 			e.update(Update{Round: 0, Selected: sel, FullGrid: e.full,
 				Saved: e.full - sel, Done: true})
 			return &Result{
-				Campaign: c, Report: rep, Key: e.key, CacheHit: true,
-				PointsReused: sel, PointsSaved: e.full - sel,
-				FullGridPoints: e.full, Converged: true,
+				Outcome: campaign.Outcome{Campaign: c, Report: rep, Key: e.key,
+					CacheHit: true, PointsReused: sel},
+				PointsSaved: e.full - sel, FullGridPoints: e.full, Converged: true,
 			}, nil
 		}
 	}
@@ -269,37 +264,20 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 // canonical grid order, publishes the adaptive campaign entry, and emits
 // the final progress update.
 func (e *engine) finish(ctx context.Context) (*Result, error) {
-	rep := &workload.CampaignReport{
-		App:     e.req.App.Name(),
-		Plan:    e.plan,
-		Configs: e.selected(),
+	pts := e.selectedPoints()
+	samples := make([]workload.Sample, len(pts))
+	outcomes := make([]workload.ConfigOutcome, len(pts))
+	for i, pt := range pts {
+		samples[i], outcomes[i] = e.samples[pt], e.outcomes[pt]
 	}
-	c := &workload.Campaign{App: e.req.App.Name(), Grid: e.req.Grid}
-	survivingP, survivingN := map[int]bool{}, map[int]bool{}
-	for _, pt := range e.selectedPoints() {
-		out := e.outcomes[pt]
-		rep.Outcomes = append(rep.Outcomes, out)
-		if out.Quarantined {
-			rep.Quarantined = append(rep.Quarantined, out)
-			rep.ExtraRuns += out.Attempts - 1
-			continue
-		}
-		if out.Attempts > 1 {
-			rep.Recovered++
-			rep.ExtraRuns += out.Attempts - 1
-		}
-		c.Samples = append(c.Samples, e.samples[pt])
-		survivingP[out.P], survivingN[out.N] = true, true
-	}
-	rep.AxisWarnings = coverageWarnings(survivingP, survivingN, e.minPoints())
-	if len(c.Samples) == 0 {
-		return nil, fmt.Errorf("adaptive: %s campaign lost all %d selected configurations",
-			e.req.App.Name(), e.selected())
+	c, rep, err := workload.Assemble(e.req.App.Name(), e.plan, e.req.Grid, samples, outcomes, e.req.MinPoints)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
-		Campaign: c, Report: rep, Key: e.key,
-		PointsReused: e.reused, PointsMeasured: e.measured,
+		Outcome: campaign.Outcome{Campaign: c, Report: rep, Key: e.key,
+			PointsReused: e.reused, PointsMeasured: e.measured},
 		PointsSaved:    e.full - e.selected(),
 		FullGridPoints: e.full,
 		Rounds:         e.rounds,
@@ -321,13 +299,6 @@ func (e *engine) finish(ctx context.Context) (*Result, error) {
 	e.update(Update{Round: e.rounds, Selected: e.selected(), FullGrid: e.full,
 		Saved: res.PointsSaved, Done: true})
 	return res, nil
-}
-
-func (e *engine) minPoints() int {
-	if e.req.MinPoints > 0 {
-		return e.req.MinPoints
-	}
-	return workload.FivePointRule
 }
 
 func (e *engine) selected() int { return len(e.outcomes) }
@@ -626,20 +597,6 @@ func maxImprovement(prev, cur *workload.FitResult) float64 {
 		return 0
 	}
 	return best
-}
-
-// coverageWarnings mirrors the resilient runner's five-point-rule check
-// over the surviving selected configurations.
-func coverageWarnings(pVals, nVals map[int]bool, required int) []workload.AxisWarning {
-	var out []workload.AxisWarning
-	if len(pVals) < required {
-		out = append(out, workload.AxisWarning{Param: "p", Points: len(pVals), Required: required})
-	}
-	if len(nVals) < required {
-		out = append(out, workload.AxisWarning{Param: "n", Points: len(nVals), Required: required})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Param < out[j].Param })
-	return out
 }
 
 // axisValues returns the sorted distinct values of one grid axis.

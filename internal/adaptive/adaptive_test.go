@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -298,6 +299,53 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(encodeResult(t, again), b8) {
 		t.Error("cache-hit repeat differs from the original run")
+	}
+}
+
+// With a budget covering the whole grid the adaptive engine selects every
+// configuration, so its assembled campaign and report must equal the
+// fixed-grid ones field for field — under faults too, where quarantine,
+// recovery and extra-run accounting all flow through the shared assembly.
+func TestAdaptiveFullBudgetReportMatchesFixedGrid(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		faults      string
+		retries     int
+		quarantined int
+		recovered   int
+	}{
+		{faults: "seed=7,kill=0.5", retries: 0, quarantined: 1},
+		{faults: "seed=11,kill=0.9", retries: 1, recovered: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.faults, func(t *testing.T) {
+			plan, err := simmpi.ParseFaultSpec(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := campaign.Request{App: testApp(t), Grid: testGrid(), Faults: plan, Retries: tc.retries}
+			fixed, err := newScheduler(t, campaign.Options{Workers: 4}).Run(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(ctx, newScheduler(t, campaign.Options{Workers: 4}), req,
+				Options{MaxPoints: 16, BatchSize: 16, StableRounds: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(fixed.Report.Quarantined); got != tc.quarantined {
+				t.Errorf("fixed grid quarantined %d configurations, want %d", got, tc.quarantined)
+			}
+			if fixed.Report.Recovered != tc.recovered {
+				t.Errorf("fixed grid recovered %d configurations, want %d", fixed.Report.Recovered, tc.recovered)
+			}
+			if !reflect.DeepEqual(res.Report, fixed.Report) {
+				t.Errorf("adaptive report differs from the fixed-grid report:\n%+v\nvs\n%+v", res.Report, fixed.Report)
+			}
+			if !reflect.DeepEqual(res.Campaign, fixed.Campaign) {
+				t.Error("adaptive campaign differs from the fixed-grid campaign")
+			}
+		})
 	}
 }
 

@@ -89,6 +89,43 @@ func NewTieredStore(local, remote Store, o TieredOptions) *TieredStore {
 	return s
 }
 
+// OpenStore resolves the cache settings every entry point shares into
+// scheduler Options: a DiskStore in dir (dir alone), a RemoteStore at
+// remoteURL (remoteURL alone), a TieredStore layering the DiskStore over
+// the remote (both: local reads first, write-behind to the remote), or no
+// persistent tier (neither). reg receives the store_remote_* instruments
+// and may be nil; logf receives operational warnings (nil selects
+// log.Printf). The returned cleanup, to be called after the scheduler has
+// closed, flushes the tiered write-behind queue so a short-lived process
+// publishes its points before exiting, then stops the worker; it is a
+// no-op for the other shapes.
+func OpenStore(dir, remoteURL string, reg *obs.Registry, logf func(format string, args ...any)) (Options, func(), error) {
+	opts := Options{Logf: logf}
+	nop := func() {}
+	if remoteURL == "" {
+		opts.Dir = dir
+		return opts, nop, nil
+	}
+	remote, err := NewRemoteStore(remoteURL, RemoteOptions{Metrics: reg, Logf: logf})
+	if err != nil {
+		return Options{}, nil, err
+	}
+	if dir == "" {
+		opts.Store = remote
+		return opts, nop, nil
+	}
+	disk, err := OpenDiskStore(dir)
+	if err != nil {
+		return Options{}, nil, err
+	}
+	tiered := NewTieredStore(disk, remote, TieredOptions{Metrics: reg})
+	opts.Store = tiered
+	return opts, func() {
+		tiered.Sync(context.Background())
+		tiered.Close()
+	}, nil
+}
+
 // Status merges the tiers: writes are degraded if the local tier says so,
 // and the breaker flag surfaces from the remote tier.
 func (s *TieredStore) Status() StoreStatus {

@@ -3,6 +3,10 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -356,5 +360,75 @@ func TestTieredSchedulerSurvivesLocalLoss(t *testing.T) {
 	}
 	if string(mustJSON(t, warm.Report)) != string(mustJSON(t, out.Report)) {
 		t.Error("report served via the remote tier is not byte-identical")
+	}
+}
+
+// OpenStore builds each of the three persistent shapes — disk, remote,
+// disk-over-remote — plus the memory-only default, and each shape persists
+// a campaign where it should: files in the directory, PUTs at the peer,
+// or both once the cleanup has flushed the write-behind queue.
+func TestOpenStoreShapes(t *testing.T) {
+	cases := []struct {
+		name         string
+		disk, remote bool
+		wantStore    string // the Options.Store type; "" leaves Store nil
+	}{
+		{name: "memory"},
+		{name: "disk", disk: true},
+		{name: "remote", remote: true, wantStore: "*campaign.RemoteStore"},
+		{name: "tiered", disk: true, remote: true, wantStore: "*campaign.TieredStore"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var dir, url string
+			if tc.disk {
+				dir = t.TempDir()
+			}
+			ps := &pointsServer{entries: map[string][]byte{}}
+			if tc.remote {
+				mux := http.NewServeMux()
+				mux.Handle("GET /v1/points/{key}", ps)
+				mux.Handle("PUT /v1/points/{key}", ps)
+				ts := httptest.NewServer(mux)
+				t.Cleanup(ts.Close)
+				url = ts.URL
+			}
+			opts, cleanup, err := OpenStore(dir, url, obs.NewRegistry(), t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts.Dir != "" && opts.Store != nil {
+				t.Fatalf("OpenStore set both Dir %q and Store %T", opts.Dir, opts.Store)
+			}
+			if !tc.remote && opts.Dir != dir {
+				t.Errorf("Options.Dir = %q, want %q", opts.Dir, dir)
+			}
+			if got := fmt.Sprintf("%T", opts.Store); (opts.Store != nil || tc.wantStore != "") && got != tc.wantStore {
+				t.Errorf("Options.Store is %s, want %s", got, tc.wantStore)
+			}
+			s, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(context.Background(), Request{App: testApp(t), Grid: testGrid()}); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			cleanup()
+
+			if tc.disk {
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One campaign entry plus one point entry per configuration.
+				if want := 1 + 4; len(entries) != want {
+					t.Errorf("disk tier holds %d entries, want %d", len(entries), want)
+				}
+			}
+			if _, puts := ps.counts(); tc.remote && puts != 5 {
+				t.Errorf("remote tier received %d PUTs, want 5", puts)
+			}
+		})
 	}
 }

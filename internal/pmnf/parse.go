@@ -327,7 +327,7 @@ func decodeRune(s string) (rune, int) {
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // ParseAppModels parses a ';'-separated list of "metricName=expr" entries
-// into a name → model map (the CLI format of designer -custom-models).
+// into a name → model map (the CLI format of codesign -custom-models).
 func ParseAppModels(spec string, params ...string) (map[string]*Model, error) {
 	out := map[string]*Model{}
 	for _, entry := range strings.Split(spec, ";") {

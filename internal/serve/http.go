@@ -141,7 +141,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if sub.Wait != nil && !*sub.Wait {
-		key, err := s.start(tenant, req, aopts)
+		key, err := s.Start(tenant, req, aopts)
 		if err != nil {
 			s.writeSubmitError(w, err)
 			return
@@ -164,7 +164,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	res, err := s.do(ctx, tenant, req, aopts)
+	res, err := s.Do(ctx, tenant, req, aopts)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
@@ -250,15 +250,13 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Small campaigns (below the paper's 5-points-per-parameter rule of
-	// thumb) still deserve an answer over HTTP; lower the floor to what the
-	// grid actually measured.
+	// thumb) still deserve an answer over HTTP; lower the floor to the
+	// distinct values the samples actually cover. That can be fewer than
+	// the grid names: repeated axis values count once, and quarantined
+	// configurations leave no sample.
 	fitOpts := modeling.DefaultOptions()
-	if n := len(c.Grid.Procs); n < fitOpts.MinPoints {
-		fitOpts.MinPoints = n
-	}
-	if n := len(c.Grid.Ns); n < fitOpts.MinPoints {
-		fitOpts.MinPoints = n
-	}
+	p, n := c.DistinctAxes()
+	fitOpts.MinPoints = min(fitOpts.MinPoints, p, n)
 	fits, _, err := workload.FitAllObserved([]*workload.Campaign{c}, fitOpts, 0, modeling.NewFitCache(), s.opts.Metrics)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, 0, fmt.Sprintf("fitting models: %v", err))

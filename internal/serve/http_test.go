@@ -168,6 +168,52 @@ func TestHTTPSubmitFetchModels(t *testing.T) {
 	}
 }
 
+// The models endpoint lowers the fit's point floor to the distinct p and n
+// values the samples cover, not to the grid's axis lengths: a repeated
+// axis value counts once, and a quarantined axis value leaves no sample.
+// Either way the grid names more values than survive, and a floor set from
+// the grid failed the fit with a 500.
+func TestHTTPModelsFloorFollowsSurvivingSamples(t *testing.T) {
+	cases := map[string]string{
+		"repeated p":    `{"app":"Kripke","grid":{"procs":[2,2,4],"ns":[64,128,256],"seed":3}}`,
+		"quarantined p": `{"app":"Kripke","grid":{"procs":[2,4,8],"ns":[64,128,256],"seed":3},"faults":"kill=7@3"}`,
+	}
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, ts := newHTTPServer(t, Options{})
+			resp, data := postJSON(t, ts.URL+"/v1/campaigns", body, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+			}
+			var out struct {
+				Report struct {
+					Quarantined []json.RawMessage `json:"quarantined"`
+				} `json:"report"`
+			}
+			if err := json.Unmarshal(data, &out); err != nil {
+				t.Fatal(err)
+			}
+			if name == "quarantined p" && len(out.Report.Quarantined) != 3 {
+				t.Fatalf("%d configurations quarantined, want the 3 at p=8", len(out.Report.Quarantined))
+			}
+			key := resp.Header.Get("X-Campaign-Key")
+			respM, bodyM := getJSON(t, ts.URL+"/v1/campaigns/"+key+"/models")
+			if respM.StatusCode != http.StatusOK {
+				t.Fatalf("models: status %d: %s", respM.StatusCode, bodyM)
+			}
+			var models struct {
+				Models map[string]json.RawMessage `json:"models"`
+			}
+			if err := json.Unmarshal(bodyM, &models); err != nil {
+				t.Fatal(err)
+			}
+			if len(models.Models) != 5 {
+				t.Errorf("models response carries %d models, want 5", len(models.Models))
+			}
+		})
+	}
+}
+
 // Async submission: 202 with polling URLs; the job completes and becomes
 // fetchable.
 func TestHTTPAsyncSubmit(t *testing.T) {

@@ -48,8 +48,12 @@ type PathCampaign struct {
 	Samples []PathSample `json:"samples"`
 }
 
-// RunWithPaths measures the app like Run and additionally attributes
-// communication volume to call paths.
+// RunWithPaths measures the app once per grid configuration, serially on
+// the caller's goroutine, and attributes communication volume to call
+// paths. It is the per-call-path side channel of the Scheduler path: no
+// faults, retries, repeats, cache or locality probe (stack distance stays
+// 0), so its samples carry the communication metrics that matter here and
+// are not a substitute for a campaign.
 func RunWithPaths(app apps.App, grid Grid) (*PathCampaign, error) {
 	if err := grid.Validate(); err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package workload
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -452,12 +451,26 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 		return nil, nil, err
 	}
 
-	report := &CampaignReport{App: r.App.Name(), Configs: len(configs), Outcomes: outcomes}
+	plan := ""
 	if r.Faults.Active() {
-		report.Plan = r.Faults.String()
+		plan = r.Faults.String()
 	}
-	c := &Campaign{App: r.App.Name(), Grid: grid}
-	survivingP, survivingN := map[int]bool{}, map[int]bool{}
+	return Assemble(r.App.Name(), plan, grid, samples, outcomes, r.MinPoints)
+}
+
+// Assemble folds per-configuration results into a campaign and its
+// report. outcomes[i] is the history of the configuration samples[i] was
+// measured at, both in campaign (p-major, n-minor) order; the report
+// counts every outcome as a configuration. Quarantined configurations are
+// listed and their samples dropped, recovered ones are counted, and the
+// surviving axis coverage is checked against minPoints (0 means
+// FivePointRule). The fixed-grid runner and the adaptive engine both
+// assemble through here, so a campaign of the same outcomes reports the
+// same bytes whichever path measured it. Assemble fails only when no
+// configuration survives; the report comes back alongside that error.
+func Assemble(app, plan string, grid Grid, samples []Sample, outcomes []ConfigOutcome, minPoints int) (*Campaign, *CampaignReport, error) {
+	report := &CampaignReport{App: app, Plan: plan, Configs: len(outcomes), Outcomes: outcomes}
+	c := &Campaign{App: app, Grid: grid}
 	for i, out := range outcomes {
 		if out.Quarantined {
 			report.Quarantined = append(report.Quarantined, out)
@@ -469,34 +482,30 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 			report.ExtraRuns += out.Attempts - 1
 		}
 		c.Samples = append(c.Samples, samples[i])
-		survivingP[out.P], survivingN[out.N] = true, true
 	}
-	report.AxisWarnings = coverageWarnings(survivingP, survivingN, r.minPoints())
+	if minPoints <= 0 {
+		minPoints = FivePointRule
+	}
+	report.AxisWarnings = coverageWarnings(c, minPoints)
 	if len(c.Samples) == 0 {
-		return nil, report, fmt.Errorf("workload: %s campaign lost all %d configurations (retry budget %d); last error: %s",
-			r.App.Name(), len(configs), r.Retries, lastError(outcomes))
+		return nil, report, fmt.Errorf("workload: %s campaign lost all %d configurations; last error: %s",
+			app, len(outcomes), lastError(outcomes))
 	}
 	return c, report, nil
 }
 
-func (r *ResilientRunner) minPoints() int {
-	if r.MinPoints > 0 {
-		return r.MinPoints
-	}
-	return FivePointRule
-}
-
-// coverageWarnings converts surviving axis coverage into five-point-rule
-// warnings against the given threshold.
-func coverageWarnings(pVals, nVals map[int]bool, required int) []AxisWarning {
+// coverageWarnings converts the campaign's surviving axis coverage into
+// five-point-rule warnings against the given threshold.
+func coverageWarnings(c *Campaign, required int) []AxisWarning {
 	var out []AxisWarning
-	if len(pVals) < required {
-		out = append(out, AxisWarning{Param: "p", Points: len(pVals), Required: required})
+	p, n := c.DistinctAxes()
+	// Sorted by parameter name: "n" before "p".
+	if n < required {
+		out = append(out, AxisWarning{Param: "n", Points: n, Required: required})
 	}
-	if len(nVals) < required {
-		out = append(out, AxisWarning{Param: "n", Points: len(nVals), Required: required})
+	if p < required {
+		out = append(out, AxisWarning{Param: "p", Points: p, Required: required})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Param < out[j].Param })
 	return out
 }
 

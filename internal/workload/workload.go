@@ -140,6 +140,17 @@ type Campaign struct {
 	Samples []Sample `json:"samples"`
 }
 
+// DistinctAxes returns how many distinct process counts and problem sizes
+// the campaign's samples cover. A degraded or adaptive campaign can cover
+// fewer than its grid names, and fits must not ask for more.
+func (c *Campaign) DistinctAxes() (p, n int) {
+	ps, ns := map[int]bool{}, map[int]bool{}
+	for _, s := range c.Samples {
+		ps[s.P], ns[s.N] = true, true
+	}
+	return len(ps), len(ns)
+}
+
 // probeCap bounds retained locality samples per instruction group.
 const probeCap = 1 << 14
 

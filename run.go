@@ -85,38 +85,14 @@ type runConfig struct {
 }
 
 // buildStore resolves the cache options into scheduler Options plus a
-// cleanup to run after the scheduler closes. Precedence: an explicit
-// WithStore wins outright; a remote URL alone selects a RemoteStore; a
-// remote URL with a cache dir layers the DiskStore over the remote as a
-// TieredStore (local reads first, asynchronous write-behind to the
-// remote); a cache dir alone keeps the classic DiskStore path.
+// cleanup to run after the scheduler closes. An explicit WithStore wins
+// outright; otherwise campaign.OpenStore picks the disk, remote or tiered
+// shape from WithCache and WithRemoteCache.
 func (c *runConfig) buildStore() (campaign.Options, func(), error) {
-	nop := func() {}
-	switch {
-	case c.store != nil:
-		return campaign.Options{Store: c.store}, nop, nil
-	case c.remoteURL == "":
-		return campaign.Options{Dir: c.cacheDir}, nop, nil
+	if c.store != nil {
+		return campaign.Options{Store: c.store}, func() {}, nil
 	}
-	remote, err := campaign.NewRemoteStore(c.remoteURL, campaign.RemoteOptions{Metrics: c.reg})
-	if err != nil {
-		return campaign.Options{}, nil, err
-	}
-	if c.cacheDir == "" {
-		return campaign.Options{Store: remote}, nop, nil
-	}
-	disk, err := campaign.OpenDiskStore(c.cacheDir)
-	if err != nil {
-		return campaign.Options{}, nil, err
-	}
-	tiered := campaign.NewTieredStore(disk, remote, campaign.TieredOptions{Metrics: c.reg})
-	cleanup := func() {
-		// Flush the write-behind queue so a short-lived CLI run publishes
-		// its points before exiting, then stop the worker.
-		tiered.Sync(context.Background())
-		tiered.Close()
-	}
-	return campaign.Options{Store: tiered}, cleanup, nil
+	return campaign.OpenStore(c.cacheDir, c.remoteURL, c.reg, nil)
 }
 
 func newRunConfig(opts []Option) runConfig {
@@ -272,33 +248,32 @@ func runRequest(ctx context.Context, sched *campaign.Scheduler, cfg *runConfig, 
 		if err != nil {
 			return &Result{}, err
 		}
-		return &Result{
-			Campaign:       aout.Campaign,
-			Report:         aout.Report,
-			CacheHit:       aout.CacheHit,
-			PointsReused:   aout.PointsReused,
-			PointsMeasured: aout.PointsMeasured,
-			PointsSaved:    aout.PointsSaved,
-			Adaptive: &AdaptiveSummary{
-				Rounds:         aout.Rounds,
-				Converged:      aout.Converged,
-				FullGridPoints: aout.FullGridPoints,
-			},
-		}, nil
+		res := resultOf(&aout.Outcome)
+		res.PointsSaved = aout.PointsSaved
+		res.Adaptive = &AdaptiveSummary{
+			Rounds:         aout.Rounds,
+			Converged:      aout.Converged,
+			FullGridPoints: aout.FullGridPoints,
+		}
+		return res, nil
 	}
 	out, err := sched.Run(ctx, req)
-	res := &Result{}
-	if out != nil {
-		res.Report = out.Report
-		res.PointsReused = out.PointsReused
-		res.PointsMeasured = out.PointsMeasured
+	if out == nil {
+		return &Result{}, err
 	}
-	if err != nil {
-		return res, err
+	return resultOf(out), err
+}
+
+// resultOf converts a scheduler outcome into a Result. A failed campaign's
+// outcome carries no Campaign, only the report and the point split.
+func resultOf(out *campaign.Outcome) *Result {
+	return &Result{
+		Campaign:       out.Campaign,
+		Report:         out.Report,
+		CacheHit:       out.CacheHit,
+		PointsReused:   out.PointsReused,
+		PointsMeasured: out.PointsMeasured,
 	}
-	res.Campaign = out.Campaign
-	res.CacheHit = out.CacheHit
-	return res, nil
 }
 
 // RunAll measures and models every case-study application (PaperAppNames

@@ -3,7 +3,7 @@
 // PR gate's teeth behind the adaptive-campaign headline ("measures 2-3x
 // fewer points"). scripts/check.sh runs it on the freshly written record.
 //
-// Usage: go run ./scripts/assert_point_reduction.go BENCH_13.json
+// Usage: go run ./scripts/assert_point_reduction.go BENCH_14.json
 package main
 
 import (

@@ -32,6 +32,12 @@ go build ./...
 echo "== go test -race ./... =="
 go test -race ./...
 
+# perfbench is its own module (it sits on the repo through a replace
+# directive), so the root ./... above never compiles it. Vet and test it
+# here so an internal API change cannot break the benchmark unnoticed.
+echo "== perfbench: go vet + go test =="
+(cd perfbench && go vet ./... && go test ./...)
+
 # Adaptive soak: concurrent adaptive + fixed-grid campaigns sharing one
 # point store, under the race detector, pinning that shared points are
 # measured at most once and the adaptive result stays byte-identical. The
@@ -65,7 +71,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # performance across the repo's history is comparable without re-running old
 # revisions. BENCH_PR stamps the PR number; BENCH_TIME trades gate time for
 # measurement stability.
-BENCH_PR=${BENCH_PR:-13}
+BENCH_PR=${BENCH_PR:-14}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
 {

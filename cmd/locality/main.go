@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,15 +25,36 @@ import (
 	"extrareq/internal/report"
 )
 
+// errUsage reports a command line the flag set rejected; the usage text
+// is already on stderr.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		block = flag.Int("b", 4, "block size for the blocked kernel")
-		nsRaw = flag.String("ns", "8,12,16,24,32,48,64", "comma-separated matrix sizes")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "locality:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("locality", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	block := fs.Int("b", 4, "block size for the blocked kernel")
+	nsRaw := fs.String("ns", "8,12,16,24,32,48,64", "comma-separated matrix sizes")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 	ns, err := parseInts(*nsRaw)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	t := report.NewTable("Stack/reuse distances per instruction group (medians).",
@@ -47,26 +70,31 @@ func main() {
 		blockedS.a = append(blockedS.a, meas(n, median(blocked, locality.GroupA)))
 		blockedS.b = append(blockedS.b, meas(n, median(blocked, locality.GroupB)))
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(stdout, t.String())
 
 	opts := modeling.DefaultOptions()
 	opts.MinPoints = min(5, len(ns))
-	fitAndPrint := func(name string, ms []modeling.Measurement) {
-		info, err := modeling.FitSingle("n", ms, opts)
+	fmt.Fprintln(stdout, "Fitted stack-distance scaling models:")
+	for _, f := range []struct {
+		name string
+		ms   []modeling.Measurement
+	}{
+		{"naive kernel, group A", naiveS.a},
+		{"naive kernel, group B", naiveS.b},
+		{"blocked kernel, group A", blockedS.a},
+		{"blocked kernel, group B", blockedS.b},
+	} {
+		info, err := modeling.FitSingle("n", f.ms, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("  %-22s SD ~ %s\n", name, info.Model)
+		fmt.Fprintf(stdout, "  %-22s SD ~ %s\n", f.name, info.Model)
 	}
-	fmt.Println("Fitted stack-distance scaling models:")
-	fitAndPrint("naive kernel, group A", naiveS.a)
-	fitAndPrint("naive kernel, group B", naiveS.b)
-	fitAndPrint("blocked kernel, group A", blockedS.a)
-	fitAndPrint("blocked kernel, group B", blockedS.b)
-	fmt.Println("\nInterpretation: growing models mean pressure on the memory subsystem")
-	fmt.Println("will increase with the problem size; constant models mean the kernel is")
-	fmt.Println("locality-preserving (§II-D). Both kernels execute the same flops and")
-	fmt.Println("accesses, so the one with constant models is preferable.")
+	fmt.Fprintln(stdout, "\nInterpretation: growing models mean pressure on the memory subsystem")
+	fmt.Fprintln(stdout, "will increase with the problem size; constant models mean the kernel is")
+	fmt.Fprintln(stdout, "locality-preserving (§II-D). Both kernels execute the same flops and")
+	fmt.Fprintln(stdout, "accesses, so the one with constant models is preferable.")
+	return nil
 }
 
 func addRow(t *report.Table, n int, kernel string, groups []locality.GroupStats) {
@@ -109,17 +137,12 @@ func parseInts(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("locality: bad size %q: %w", part, err)
+			return nil, fmt.Errorf("bad size %q: %w", part, err)
 		}
 		if v < 2 {
-			return nil, fmt.Errorf("locality: matrix size %d too small", v)
+			return nil, fmt.Errorf("matrix size %d too small", v)
 		}
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "locality:", err)
-	os.Exit(1)
 }

@@ -13,48 +13,67 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"extrareq/internal/apps"
 	"extrareq/internal/workload"
 )
 
+// errUsage reports a command line the flag set rejected; the usage text
+// is already on stderr.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		appName = flag.String("app", "Kripke", "application to analyze")
-		metric  = flag.String("metric", "loads", "metric: flop, loads, stores, or comm")
-		p       = flag.Float64("p", 1<<20, "target process count")
-		n       = flag.Float64("n", 1<<14, "target problem size per process")
-	)
-	flag.Parse()
-	app, ok := apps.ByName(*appName)
-	if !ok {
-		fatal(fmt.Errorf("unknown application %q (have %v)", *appName, apps.Names()))
-	}
-	fmt.Fprintf(os.Stderr, "scalingbugs: measuring %s with call-path attribution...\n", app.Name())
-	c, err := workload.RunWithPaths(app, workload.DefaultGrid(app.Name()))
-	if err != nil {
-		fatal(err)
-	}
-	bugs, err := workload.FindScalingBugs(c, *metric, *p, *n, nil)
-	if err != nil {
-		fatal(err)
-	}
-	if len(bugs) == 0 {
-		fmt.Printf("%s: no %s scaling bugs — every program location grows at most logarithmically with p.\n",
-			app.Name(), *metric)
-		return
-	}
-	fmt.Printf("%s: %d program location(s) with super-logarithmic %s growth (target p=%g, n=%g):\n\n",
-		app.Name(), len(bugs), *metric, *p, *n)
-	for i, b := range bugs {
-		fmt.Printf("%2d. %s\n", i+1, workload.FormatBug(b))
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "scalingbugs:", err)
+		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "scalingbugs:", err)
-	os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("scalingbugs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	appName := fs.String("app", "Kripke", "application to analyze")
+	metric := fs.String("metric", "loads", "metric: flop, loads, stores, bytes_sent, bytes_recv, or comm")
+	p := fs.Float64("p", 1<<20, "target process count")
+	n := fs.Float64("n", 1<<14, "target problem size per process")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	app, ok := apps.ByName(*appName)
+	if !ok {
+		return fmt.Errorf("unknown application %q (have %v)", *appName, apps.Names())
+	}
+	fmt.Fprintf(stderr, "scalingbugs: measuring %s with call-path attribution...\n", app.Name())
+	c, err := workload.RunWithPaths(app, workload.DefaultGrid(app.Name()))
+	if err != nil {
+		return err
+	}
+	bugs, err := workload.FindScalingBugs(c, *metric, *p, *n, nil)
+	if err != nil {
+		return err
+	}
+	if len(bugs) == 0 {
+		fmt.Fprintf(stdout, "%s: no %s scaling bugs — every program location grows at most logarithmically with p.\n",
+			app.Name(), *metric)
+		return nil
+	}
+	fmt.Fprintf(stdout, "%s: %d program location(s) with super-logarithmic %s growth (target p=%g, n=%g):\n\n",
+		app.Name(), len(bugs), *metric, *p, *n)
+	for i, b := range bugs {
+		fmt.Fprintf(stdout, "%2d. %s\n", i+1, workload.FormatBug(b))
+	}
+	return nil
 }

@@ -162,12 +162,19 @@ func Run(ctx context.Context, r Runner, req campaign.Request, opts Options) (*Re
 	if err := req.Grid.Validate(); err != nil {
 		return nil, err
 	}
+	reg := req.Metrics
 	e := &engine{
-		r:     r,
-		req:   req,
-		procs: axisValues(req.Grid.Procs),
-		ns:    axisValues(req.Grid.Ns),
-		ad:    obs.NewAdaptive(req.Metrics),
+		r:          r,
+		req:        req,
+		procs:      axisValues(req.Grid.Procs),
+		ns:         axisValues(req.Grid.Ns),
+		mRounds:    reg.Counter(obs.MetricAdaptiveRounds),
+		mMeasured:  reg.Counter(obs.MetricAdaptivePointsMeasured),
+		mReused:    reg.Counter(obs.MetricAdaptivePointsReused),
+		mSaved:     reg.Counter(obs.MetricAdaptivePointsSaved),
+		mConverged: reg.Counter(obs.MetricAdaptiveConverged),
+		mBudget:    reg.Counter(obs.MetricAdaptiveBudgetStop),
+		mCacheHit:  reg.Counter(obs.MetricAdaptiveCacheHit),
 	}
 	e.full = len(e.procs) * len(e.ns)
 	e.opts = opts.defaults(e.full)
@@ -183,7 +190,11 @@ type engine struct {
 	req  campaign.Request
 	opts Options
 	key  campaign.Key
-	ad   *obs.Adaptive
+
+	// adaptive_* instruments, resolved once per run (nil without a
+	// registry).
+	mRounds, mMeasured, mReused, mSaved *obs.Counter
+	mConverged, mBudget, mCacheHit      *obs.Counter
 
 	procs, ns []int // sorted distinct axis values
 	full      int
@@ -205,7 +216,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 	// entry, exactly like fixed-grid repeats.
 	if data, ok := e.r.Lookup(ctx, e.key); ok {
 		if c, rep, err := campaign.Decode(e.key, data); err == nil {
-			e.ad.CacheHit()
+			e.mCacheHit.Inc()
 			sel := rep.Configs
 			e.reportProgress(sel, sel, 0)
 			e.update(Update{Round: 0, Selected: sel, FullGrid: e.full,
@@ -223,7 +234,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 	}
 	fitPrev, errPrev := e.fit()
 	e.rounds++
-	e.ad.Round()
+	e.mRounds.Inc()
 	e.update(Update{Round: e.rounds, Selected: e.selected(), FullGrid: e.full})
 
 	stable := 0
@@ -243,7 +254,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 		}
 		fitCur, errCur := e.fit()
 		e.rounds++
-		e.ad.Round()
+		e.mRounds.Inc()
 		e.update(Update{Round: e.rounds, Selected: e.selected(), FullGrid: e.full})
 		if errPrev == nil && errCur == nil &&
 			sameModels(fitPrev, fitCur) && maxImprovement(fitPrev, fitCur) < e.opts.Improvement {
@@ -285,11 +296,11 @@ func (e *engine) finish(ctx context.Context) (*Result, error) {
 	}
 	res.CacheHit = res.PointsMeasured == 0
 	if e.converged {
-		e.ad.Converged()
+		e.mConverged.Inc()
 	} else {
-		e.ad.BudgetStop()
+		e.mBudget.Inc()
 	}
-	e.ad.Saved(res.PointsSaved)
+	e.mSaved.Add(int64(res.PointsSaved))
 	// Publish the finished run under the adaptive key so repeats are
 	// byte-identical cache hits. Best-effort like every cache write: a
 	// degraded store must not fail a measured campaign.
@@ -405,7 +416,8 @@ func (e *engine) measure(ctx context.Context, pts [][2]int) error {
 		batchReused += outs[i].PointsReused
 		batchMeasured += outs[i].PointsMeasured
 	}
-	e.ad.Points(batchReused, batchMeasured)
+	e.mReused.Add(int64(batchReused))
+	e.mMeasured.Add(int64(batchMeasured))
 	return nil
 }
 

@@ -296,7 +296,7 @@ func (s *Scheduler) PutEntry(ctx context.Context, key Key, data []byte) error {
 	case CampaignEntry:
 		s.mem.put(key, data)
 	}
-	s.storeWrite(ctx, key, data, cacheMetrics{})
+	s.storeWrite(ctx, key, data, nil, nil)
 	return nil
 }
 
@@ -335,22 +335,23 @@ func (s *Scheduler) Flush(ctx context.Context) error {
 
 // storeWrite persists one entry to the store unless writes have degraded.
 // The first failure latches writeDown — counted once, warned once — and
-// later calls are no-ops; reads are never affected. Safe for concurrent
-// use (point entries are published from pool workers).
-func (s *Scheduler) storeWrite(ctx context.Context, key Key, data []byte, cm cacheMetrics) {
+// later calls are no-ops; reads are never affected. moved and diskErr are
+// the request's cache_bytes and cache_disk_error counters. Safe for
+// concurrent use (point entries are published from pool workers).
+func (s *Scheduler) storeWrite(ctx context.Context, key Key, data []byte, moved, diskErr *obs.Counter) {
 	if s.store == nil || s.writeDown.Load() {
 		return
 	}
 	if err := s.store.Store(ctx, key, data); err != nil {
 		if s.writeDown.CompareAndSwap(false, true) {
 			s.diskErrs.Add(1)
-			cm.addDiskError()
+			diskErr.Inc()
 			s.logf("campaign: cache store write failed, degrading to memory-only writes (reads stay live): %v", err)
 		}
 		return
 	}
 	s.bytes.Add(int64(len(data)))
-	cm.addBytes(int64(len(data)))
+	moved.Add(int64(len(data)))
 }
 
 // Run measures one campaign, serving it from cache when an identical one
@@ -380,13 +381,16 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 		return nil, ErrClosed
 	}
 	key := ComputeKey(req)
-	cm := newCacheMetrics(req.Metrics)
+	reg := req.Metrics
+	moved, diskErr := reg.Counter(MetricCacheBytes), reg.Counter(MetricCacheDiskError)
+	hit, miss := reg.Counter(MetricCacheHit), reg.Counter(MetricCacheMiss)
+	pointHit, pointMiss := reg.Counter(MetricCachePointHit), reg.Counter(MetricCachePointMiss)
 	gridPoints := len(req.Grid.Procs) * len(req.Grid.Ns)
 
 	if data, ok := s.mem.get(key); ok {
 		if c, rep, err := decode(key, data); err == nil {
 			s.hits.Add(1)
-			cm.addHit()
+			hit.Inc()
 			reportAllDone(req)
 			return &Outcome{Campaign: c, Report: rep, Key: key, CacheHit: true,
 				PointsReused: gridPoints}, nil
@@ -400,8 +404,8 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 				s.mem.put(key, data)
 				s.hits.Add(1)
 				s.bytes.Add(int64(len(data)))
-				cm.addHit()
-				cm.addBytes(int64(len(data)))
+				hit.Inc()
+				moved.Add(int64(len(data)))
 				reportAllDone(req)
 				return &Outcome{Campaign: c, Report: rep, Key: key, CacheHit: true,
 					PointsReused: gridPoints}, nil
@@ -412,7 +416,7 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 	}
 
 	s.misses.Add(1)
-	cm.addMiss()
+	miss.Inc()
 	var reused, measured atomic.Int64
 	reportPoints := func() {
 		if req.PointProgress != nil {
@@ -429,17 +433,22 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 		Progress:  req.Progress,
 		Exec:      s.exec(ctx),
 		Prefill: func(pctx context.Context, p, n int) (workload.Sample, workload.ConfigOutcome, bool) {
-			sm, out, ok := s.loadPoint(pctx, req, p, n, cm)
-			if ok {
-				reused.Add(1)
-				reportPoints()
+			sm, out, ok := s.loadPoint(pctx, req, p, n, moved)
+			if !ok {
+				s.pointMiss.Add(1)
+				pointMiss.Inc()
+				return sm, out, false
 			}
-			return sm, out, ok
+			s.pointHits.Add(1)
+			pointHit.Inc()
+			reused.Add(1)
+			reportPoints()
+			return sm, out, true
 		},
 		OnConfig: func(pctx context.Context, sm workload.Sample, out workload.ConfigOutcome) {
 			measured.Add(1)
 			reportPoints()
-			s.publishPoint(pctx, req, sm, out, cm)
+			s.publishPoint(pctx, req, sm, out, moved, diskErr)
 		},
 	}
 	c, rep, err := r.Run(ctx, req.Grid)
@@ -458,14 +467,15 @@ func (s *Scheduler) Run(ctx context.Context, req Request) (*Outcome, error) {
 		return outcome, err
 	}
 	s.mem.put(key, data)
-	s.storeWrite(ctx, key, data, cm)
+	s.storeWrite(ctx, key, data, moved, diskErr)
 	return outcome, nil
 }
 
 // loadPoint looks one (p, n) configuration up in the point cache (memory
-// first, then the store). A hit decodes and validates; anything unreadable
-// degrades to a miss and is re-measured.
-func (s *Scheduler) loadPoint(ctx context.Context, req Request, p, n int, cm cacheMetrics) (workload.Sample, workload.ConfigOutcome, bool) {
+// first, then the store), counting bytes read from the store into moved.
+// A hit decodes and validates; anything unreadable degrades to a miss and
+// is re-measured.
+func (s *Scheduler) loadPoint(ctx context.Context, req Request, p, n int, moved *obs.Counter) (workload.Sample, workload.ConfigOutcome, bool) {
 	pk := ComputePointKey(req, p, n)
 	data, ok := s.pmem.get(pk)
 	fromStore := false
@@ -478,29 +488,25 @@ func (s *Scheduler) loadPoint(ctx context.Context, req Request, p, n int, cm cac
 			if fromStore {
 				s.pmem.put(pk, data)
 				s.bytes.Add(int64(len(data)))
-				cm.addBytes(int64(len(data)))
+				moved.Add(int64(len(data)))
 			}
-			s.pointHits.Add(1)
-			cm.addPointHit()
 			return sm, out, true
 		}
 	}
-	s.pointMiss.Add(1)
-	cm.addPointMiss()
 	return workload.Sample{}, workload.ConfigOutcome{}, false
 }
 
 // publishPoint stores one freshly measured configuration in the point
 // cache, making it reusable by later campaigns (and, through the store,
 // by concurrent processes) the moment it completes. Runs on pool workers.
-func (s *Scheduler) publishPoint(ctx context.Context, req Request, sm workload.Sample, out workload.ConfigOutcome, cm cacheMetrics) {
+func (s *Scheduler) publishPoint(ctx context.Context, req Request, sm workload.Sample, out workload.ConfigOutcome, moved, diskErr *obs.Counter) {
 	pk := ComputePointKey(req, out.P, out.N)
 	data, err := encodePoint(pk, appName(req.App), sm, out)
 	if err != nil {
 		return // plain data; cannot happen
 	}
 	s.pmem.put(pk, data)
-	s.storeWrite(ctx, pk, data, cm)
+	s.storeWrite(ctx, pk, data, moved, diskErr)
 }
 
 // reportAllDone mirrors a fresh run's progress stream for a cache hit: the
@@ -562,62 +568,6 @@ func (s *Scheduler) exec(ctx context.Context) workload.ExecFunc {
 		}
 		done.Wait()
 		return err
-	}
-}
-
-// cacheMetrics resolves the cache counters once per request; without a
-// registry every field stays nil and the add methods are no-ops.
-type cacheMetrics struct {
-	hit, miss, pointHit, pointMiss, bytes, diskErr *obs.Counter
-}
-
-func newCacheMetrics(reg *obs.Registry) cacheMetrics {
-	if reg == nil {
-		return cacheMetrics{}
-	}
-	return cacheMetrics{
-		hit:       reg.Counter(MetricCacheHit),
-		miss:      reg.Counter(MetricCacheMiss),
-		pointHit:  reg.Counter(MetricCachePointHit),
-		pointMiss: reg.Counter(MetricCachePointMiss),
-		bytes:     reg.Counter(MetricCacheBytes),
-		diskErr:   reg.Counter(MetricCacheDiskError),
-	}
-}
-
-func (m cacheMetrics) addHit() {
-	if m.hit != nil {
-		m.hit.Add(1)
-	}
-}
-
-func (m cacheMetrics) addMiss() {
-	if m.miss != nil {
-		m.miss.Add(1)
-	}
-}
-
-func (m cacheMetrics) addPointHit() {
-	if m.pointHit != nil {
-		m.pointHit.Add(1)
-	}
-}
-
-func (m cacheMetrics) addPointMiss() {
-	if m.pointMiss != nil {
-		m.pointMiss.Add(1)
-	}
-}
-
-func (m cacheMetrics) addBytes(n int64) {
-	if m.bytes != nil {
-		m.bytes.Add(n)
-	}
-}
-
-func (m cacheMetrics) addDiskError() {
-	if m.diskErr != nil {
-		m.diskErr.Add(1)
 	}
 }
 

@@ -50,10 +50,14 @@ type RemoteStore struct {
 	timeout time.Duration
 	retries int
 	backoff time.Duration
-	metrics *obs.RemoteStore
 	logf    func(format string, args ...any)
 	sleep   func(time.Duration)
 	br      *breaker
+
+	// store_remote_* instruments, resolved once (nil without
+	// RemoteOptions.Metrics); the breaker holds its own two.
+	hits, misses, errs, dropped *obs.Counter
+	seconds                     *obs.Histogram
 
 	mu    sync.Mutex
 	known map[Key]struct{} // keys confirmed present on the remote
@@ -147,24 +151,29 @@ func NewRemoteStore(baseURL string, o RemoteOptions) (*RemoteStore, error) {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	m := obs.NewRemoteStore(o.Metrics)
+	reg := o.Metrics
 	return &RemoteStore{
 		base:    strings.TrimRight(u.String(), "/") + "/v1/points/",
 		client:  client,
 		timeout: o.Timeout,
 		retries: o.Retries,
 		backoff: o.Backoff,
-		metrics: m,
 		logf:    logf,
 		sleep:   sleep,
 		br: &breaker{
 			threshold: o.BreakerThreshold,
 			cooldown:  o.BreakerCooldown,
 			now:       now,
-			metrics:   m,
+			openGauge: reg.Gauge(obs.MetricStoreRemoteBreakerOpen),
+			opens:     reg.Counter(obs.MetricStoreRemoteBreakerOpens),
 			logf:      logf,
 		},
-		known: map[Key]struct{}{},
+		hits:    reg.Counter(obs.MetricStoreRemoteHit),
+		misses:  reg.Counter(obs.MetricStoreRemoteMiss),
+		errs:    reg.Counter(obs.MetricStoreRemoteError),
+		dropped: reg.Counter(obs.MetricStoreRemoteDropped),
+		seconds: reg.Histogram(obs.MetricStoreRemoteSeconds, obs.RemoteStoreSecondsEdges()),
+		known:   map[Key]struct{}{},
 	}, nil
 }
 
@@ -183,25 +192,25 @@ func (s *RemoteStore) BreakerOpen() bool { return s.br.open() }
 // failed campaign.
 func (s *RemoteStore) Load(ctx context.Context, k Key) ([]byte, bool) {
 	if !s.br.allow() {
-		s.metrics.Miss()
+		s.misses.Inc()
 		return nil, false
 	}
 	start := time.Now()
 	data, found, err := s.do(ctx, k, nil)
-	s.metrics.ObserveLatency(time.Since(start).Seconds())
+	s.seconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.br.failure()
-		s.metrics.Error()
-		s.metrics.Miss()
+		s.errs.Inc()
+		s.misses.Inc()
 		return nil, false
 	}
 	s.br.success()
 	if !found {
-		s.metrics.Miss()
+		s.misses.Inc()
 		return nil, false
 	}
 	s.markKnown(k)
-	s.metrics.Hit()
+	s.hits.Inc()
 	return data, true
 }
 
@@ -217,16 +226,16 @@ func (s *RemoteStore) Store(ctx context.Context, k Key, data []byte) error {
 		return nil // the remote has these exact bytes; skip the body
 	}
 	if !s.br.allow() {
-		s.metrics.Dropped()
+		s.dropped.Inc()
 		return nil
 	}
 	start := time.Now()
 	_, _, err := s.do(ctx, k, data)
-	s.metrics.ObserveLatency(time.Since(start).Seconds())
+	s.seconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.br.failure()
-		s.metrics.Error()
-		s.metrics.Dropped()
+		s.errs.Inc()
+		s.dropped.Inc()
 		return nil
 	}
 	s.br.success()
@@ -335,7 +344,8 @@ type breaker struct {
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Time
-	metrics   *obs.RemoteStore
+	openGauge *obs.Gauge   // 1 while open, 0 while closed or probing
+	opens     *obs.Counter // transitions into the open state
 	logf      func(format string, args ...any)
 
 	failures int
@@ -367,7 +377,7 @@ func (b *breaker) success() {
 	b.isOpen = false
 	b.probing = false
 	if wasOpen {
-		b.metrics.SetBreakerOpen(false)
+		b.openGauge.Set(0)
 		b.logf("campaign: remote store recovered, circuit closed")
 	}
 }
@@ -389,8 +399,8 @@ func (b *breaker) failure() {
 	if b.failures >= b.threshold {
 		b.isOpen = true
 		b.openedAt = b.now()
-		b.metrics.SetBreakerOpen(true)
-		b.metrics.BreakerOpened()
+		b.openGauge.Set(1)
+		b.opens.Inc()
 		b.logf("campaign: remote store circuit opened after %d consecutive failures (cooldown %s)",
 			b.failures, b.cooldown)
 	}

@@ -36,7 +36,7 @@ type TieredStore struct {
 
 	mu      sync.Mutex
 	closed  bool
-	metrics *obs.RemoteStore
+	dropped *obs.Counter // store_remote_dropped (nil without a registry)
 }
 
 // tieredWrite is one queued remote write; flush is non-nil for the
@@ -83,7 +83,7 @@ func NewTieredStore(local, remote Store, o TieredOptions) *TieredStore {
 		writes:  make(chan tieredWrite, o.QueueDepth),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
-		metrics: obs.NewRemoteStore(o.Metrics),
+		dropped: o.Metrics.Counter(obs.MetricStoreRemoteDropped),
 	}
 	go s.drain(o.WriteTimeout)
 	return s
@@ -204,7 +204,7 @@ func (s *TieredStore) enqueue(w tieredWrite) bool {
 	s.mu.Unlock()
 	if closed {
 		if w.flush == nil {
-			s.metrics.Dropped()
+			s.dropped.Inc()
 		}
 		return false
 	}
@@ -213,7 +213,7 @@ func (s *TieredStore) enqueue(w tieredWrite) bool {
 		return true
 	default:
 		if w.flush == nil {
-			s.metrics.Dropped()
+			s.dropped.Inc()
 		}
 		return false
 	}

@@ -13,6 +13,7 @@ import (
 	"io"
 
 	"extrareq"
+	"extrareq/internal/campaign"
 )
 
 // Flags is the shared command-line option set. Zero value + Register +
@@ -200,7 +201,8 @@ func (f *Flags) Finish(errw io.Writer, prog string, reports []*extrareq.Campaign
 	if f.CacheStats && f.reg != nil {
 		c := f.reg.Snapshot().Counters
 		fmt.Fprintf(errw, "%s: campaign cache: %d hits, %d misses, %d point hits, %d point misses, %d bytes on disk traffic\n",
-			prog, c["cache_hit"], c["cache_miss"], c["cache_point_hit"], c["cache_point_miss"], c["cache_bytes"])
+			prog, c[campaign.MetricCacheHit], c[campaign.MetricCacheMiss],
+			c[campaign.MetricCachePointHit], c[campaign.MetricCachePointMiss], c[campaign.MetricCacheBytes])
 	}
 	return nil
 }

@@ -98,23 +98,11 @@ const (
 // from 10µs (a cache hit) to ~2.6s (a large multi-parameter search).
 func FitSecondsEdges() []float64 { return obs.ExpEdges(1e-5, 4, 10) }
 
-// fitMetrics caches the resolved instruments so workers touch only
-// atomics on the per-task path.
+// fitMetrics holds the resolved instruments so workers touch only
+// atomics on the per-task path (all nil without a registry).
 type fitMetrics struct {
 	tasks, hits, errors *obs.Counter
 	seconds             *obs.Histogram
-}
-
-func newFitMetrics(r *obs.Registry) *fitMetrics {
-	if r == nil {
-		return nil
-	}
-	return &fitMetrics{
-		tasks:   r.Counter(MetricFitTasks),
-		hits:    r.Counter(MetricFitCacheHits),
-		errors:  r.Counter(MetricFitErrors),
-		seconds: r.Histogram(MetricFitSeconds, FitSecondsEdges()),
-	}
 }
 
 // FitAllObserved fits every task across a pool of workers and returns the
@@ -136,7 +124,12 @@ func FitAllObserved(tasks []FitTask, workers int, cache *FitCache, reg *obs.Regi
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	fm := newFitMetrics(reg)
+	fm := fitMetrics{
+		tasks:   reg.Counter(MetricFitTasks),
+		hits:    reg.Counter(MetricFitCacheHits),
+		errors:  reg.Counter(MetricFitErrors),
+		seconds: reg.Histogram(MetricFitSeconds, FitSecondsEdges()),
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -150,7 +143,7 @@ func FitAllObserved(tasks []FitTask, workers int, cache *FitCache, reg *obs.Regi
 					if i >= len(tasks) {
 						return
 					}
-					out[i] = fitOne(tasks[i], cache, fm)
+					out[i] = fitOne(tasks[i], cache, &fm)
 				}
 			})
 		}(w)
@@ -161,12 +154,9 @@ func FitAllObserved(tasks []FitTask, workers int, cache *FitCache, reg *obs.Regi
 
 // fitOne runs one task, consulting the cache when provided.
 func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
-	var start time.Time
-	if fm != nil {
-		fm.tasks.Inc()
-		start = time.Now()
-		defer func() { fm.seconds.Observe(time.Since(start).Seconds()) }()
-	}
+	fm.tasks.Inc()
+	start := time.Now()
+	defer func() { fm.seconds.Observe(time.Since(start).Seconds()) }()
 	var info *ModelInfo
 	var err error
 	if cache == nil {
@@ -177,12 +167,10 @@ func fitOne(t FitTask, cache *FitCache, fm *fitMetrics) FitOutcome {
 		info, err = e.info, e.err
 	} else {
 		<-e.done
-		if fm != nil {
-			fm.hits.Inc()
-		}
+		fm.hits.Inc()
 		info, err = e.info, e.err
 	}
-	if fm != nil && err != nil {
+	if err != nil {
 		fm.errors.Inc()
 	}
 	return FitOutcome{Key: t.Key, Info: info, Err: err}

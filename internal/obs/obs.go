@@ -10,6 +10,13 @@
 // registry), then updated on hot paths with a single atomic operation and
 // no allocation; trace events go into per-rank rings owned by exactly one
 // goroutine, so tracing adds no synchronization to the runtime at all.
+//
+// Instruments are nil-safe: a nil *Registry hands out nil instruments, and
+// every update on a nil *Counter, *Gauge or *Histogram is a no-op. Each
+// layer therefore resolves the instruments it reports into once, from a
+// registry that may be nil, holds them as plain fields or locals, and
+// updates them unconditionally; there are no per-layer wrapper types and
+// no nil checks at the call sites.
 package obs
 
 import (
@@ -29,14 +36,15 @@ type Counter struct {
 }
 
 // Add increments the counter by d (d < 0 is ignored: counters only grow).
+// A nil counter ignores every update.
 func (c *Counter) Add(d int64) {
-	if d > 0 {
+	if c != nil && d > 0 {
 		c.v.Add(d)
 	}
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -46,8 +54,12 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+// Set stores v. A nil gauge ignores it.
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the most recently stored value (0 before the first Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -79,8 +91,12 @@ func newHistogram(edges []float64) *Histogram {
 	return &Histogram{edges: e, counts: make([]atomic.Int64, len(e))}
 }
 
-// Observe records one observation. NaN counts as underflow.
+// Observe records one observation. NaN counts as underflow. A nil
+// histogram ignores it.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.total.Add(1)
 	for {
 		old := h.sum.Load()
@@ -161,8 +177,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use. A nil
+// registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -173,8 +193,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use. A nil registry
+// returns a nil (no-op) gauge.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -187,8 +211,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it with the given edges
 // on first use. Later calls ignore edges (the first creation wins), so
-// concurrent instrument resolution is safe.
+// concurrent instrument resolution is safe. A nil registry returns a nil
+// (no-op) histogram.
 func (r *Registry) Histogram(name string, edges []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]

@@ -19,6 +19,24 @@ func TestCounterAddIgnoresNegative(t *testing.T) {
 	}
 }
 
+// A layer built without a registry resolves nil instruments and updates
+// them unconditionally, so every update on a nil instrument, and every
+// accessor on a nil registry, must be a no-op.
+func TestNilInstruments(t *testing.T) {
+	var r *Registry
+	c := r.Counter("c")
+	g := r.Gauge("g")
+	h := r.Histogram("h", ExpEdges(1, 2, 3))
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out instruments: %v %v %v", c, g, h)
+	}
+	c.Inc()
+	c.Add(3)
+	g.Set(1.5)
+	h.Observe(0.25)
+	h.Observe(math.NaN())
+}
+
 func TestGaugeLastValueWins(t *testing.T) {
 	var g Gauge
 	if g.Value() != 0 {

@@ -207,8 +207,12 @@ type JobStatus struct {
 // Server is the service core. Create with New, serve requests with Do /
 // Start, shut down with Drain.
 type Server struct {
-	opts       Options
-	red        *obs.RED
+	opts Options
+	// RED instruments, resolved once in New (nil without Options.Metrics).
+	requests, errs, shed, coalesced *obs.Counter
+	queueGauge, runningGauge        *obs.Gauge
+	latency                         *obs.Histogram
+
 	base       context.Context
 	baseCancel context.CancelFunc
 	logf       func(format string, args ...any)
@@ -271,14 +275,21 @@ func New(opts Options) (*Server, error) {
 		logf = log.Printf
 	}
 	base, cancel := context.WithCancel(context.Background())
+	reg := opts.Metrics
 	return &Server{
-		opts:       opts,
-		red:        obs.NewRED(opts.Metrics),
-		base:       base,
-		baseCancel: cancel,
-		logf:       logf,
-		flights:    map[campaign.Key]*flight{},
-		tenants:    map[string]*bucket{},
+		opts:         opts,
+		requests:     reg.Counter(obs.MetricServerRequests),
+		errs:         reg.Counter(obs.MetricServerErrors),
+		shed:         reg.Counter(obs.MetricServerShed),
+		coalesced:    reg.Counter(obs.MetricServerCoalesced),
+		queueGauge:   reg.Gauge(obs.MetricServerQueueDepth),
+		runningGauge: reg.Gauge(obs.MetricServerInflight),
+		latency:      reg.Histogram(obs.MetricServerLatency, obs.RequestSecondsEdges()),
+		base:         base,
+		baseCancel:   cancel,
+		logf:         logf,
+		flights:      map[campaign.Key]*flight{},
+		tenants:      map[string]*bucket{},
 	}, nil
 }
 
@@ -305,28 +316,28 @@ func (s *Server) State() State {
 // the same spec, which measures different work.
 func (s *Server) Do(ctx context.Context, tenant string, req campaign.Request, aopts *adaptive.Options) (*Result, error) {
 	start := s.opts.now()
-	s.red.Request()
+	s.requests.Inc()
 	f, isNew, err := s.admit(tenant, req, aopts, false)
 	if err != nil {
-		s.red.Shed()
+		s.shed.Inc()
 		return nil, err
 	}
 	if !isNew {
-		s.red.Coalesced()
+		s.coalesced.Inc()
 	}
 	defer func() {
-		s.red.ObserveLatency(s.opts.now().Sub(start).Seconds())
+		s.latency.Observe(s.opts.now().Sub(start).Seconds())
 	}()
 	select {
 	case <-f.done:
 		if f.err != nil {
-			s.red.Error()
+			s.errs.Inc()
 			return &Result{Outcome: f.out, Coalesced: !isNew}, f.err
 		}
 		return &Result{Outcome: f.out, Body: f.body, Coalesced: !isNew}, nil
 	case <-ctx.Done():
 		s.detach(f)
-		s.red.Error()
+		s.errs.Inc()
 		return nil, context.Cause(ctx)
 	}
 }
@@ -337,14 +348,14 @@ func (s *Server) Do(ctx context.Context, tenant string, req campaign.Request, ao
 // AsyncTimeout instead of a waiter deadline. Job snapshots of an adaptive
 // flight additionally report points_saved once the flight commits.
 func (s *Server) Start(tenant string, req campaign.Request, aopts *adaptive.Options) (campaign.Key, error) {
-	s.red.Request()
+	s.requests.Inc()
 	f, isNew, err := s.admit(tenant, req, aopts, true)
 	if err != nil {
-		s.red.Shed()
+		s.shed.Inc()
 		return campaign.Key{}, err
 	}
 	if !isNew {
-		s.red.Coalesced()
+		s.coalesced.Inc()
 	}
 	return f.key, nil
 }
@@ -395,7 +406,7 @@ func (s *Server) admit(tenant string, req campaign.Request, aopts *adaptive.Opti
 	f.attached.Store(1)
 	s.flights[key] = f
 	s.admitted++
-	s.red.SetQueueDepth(s.admitted)
+	s.queueGauge.Set(float64(s.admitted))
 	s.inflight.Add(1)
 	go s.execute(fctx, f, req, aopts)
 	return f, true, nil
@@ -431,7 +442,7 @@ func (s *Server) detach(f *flight) {
 // close(f.done).
 func (s *Server) execute(ctx context.Context, f *flight, req campaign.Request, aopts *adaptive.Options) {
 	defer s.inflight.Done()
-	s.red.SetInflight(int(s.running.Add(1)))
+	s.runningGauge.Set(float64(s.running.Add(1)))
 	if req.Metrics == nil {
 		req.Metrics = s.opts.Metrics
 	}
@@ -478,9 +489,9 @@ func (s *Server) execute(ctx context.Context, f *flight, req campaign.Request, a
 		delete(s.flights, f.key)
 	}
 	s.admitted--
-	s.red.SetQueueDepth(s.admitted)
+	s.queueGauge.Set(float64(s.admitted))
 	s.mu.Unlock()
-	s.red.SetInflight(int(s.running.Add(-1)))
+	s.runningGauge.Set(float64(s.running.Add(-1)))
 	f.cancel()
 	close(f.done)
 }

@@ -160,6 +160,14 @@ func TestCoalesce50Identical(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, "all 50 waiters attached", func() bool { return attachedWaiters(s, key) == waiters })
+	gauges := func() (queue, inflight float64) {
+		g := s.opts.Metrics.Snapshot().Gauges
+		return g[obs.MetricServerQueueDepth], g[obs.MetricServerInflight]
+	}
+	waitFor(t, "one flight queued and running", func() bool {
+		queue, inflight := gauges()
+		return queue == 1 && inflight == 1
+	})
 	close(stub.gate)
 	wg.Wait()
 
@@ -185,6 +193,15 @@ func TestCoalesce50Identical(t *testing.T) {
 	}
 	if got := snap.Counters[obs.MetricServerRequests]; got != waiters {
 		t.Errorf("%s = %d, want %d", obs.MetricServerRequests, got, waiters)
+	}
+	// The flight finished before any waiter returned, so both gauges are
+	// back to 0, and every finished waiter observed its latency once.
+	if queue, inflight := gauges(); queue != 0 || inflight != 0 {
+		t.Errorf("%s = %v, %s = %v after all flights finished, want 0 and 0",
+			obs.MetricServerQueueDepth, queue, obs.MetricServerInflight, inflight)
+	}
+	if got := snap.Histograms[obs.MetricServerLatency].Total; got != waiters {
+		t.Errorf("%s total = %d, want %d (one per finished waiter)", obs.MetricServerLatency, got, waiters)
 	}
 }
 

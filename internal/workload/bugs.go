@@ -8,6 +8,7 @@ import (
 
 	"extrareq/internal/modeling"
 	"extrareq/internal/pmnf"
+	"extrareq/internal/profile"
 )
 
 // Scaling-bug detection — the original purpose of the Extra-P line of work
@@ -37,11 +38,21 @@ type ScalingBug struct {
 type severityRef struct{ p, n float64 }
 
 // FindScalingBugs fits every call path's model for the given profile metric
-// ("flop", "loads", "stores", or "comm" for bytes sent+received) and
-// returns, ranked by severity, the paths whose dominant process-count
-// growth is super-logarithmic (polynomial in p, or a linear collective).
-// refP and refN define the target scale.
+// (a profile metric name such as "flop", "loads" or "stores", or "comm" for
+// bytes sent+received) and returns, ranked by severity, the paths whose
+// dominant process-count growth is super-logarithmic (polynomial in p, or a
+// linear collective). refP and refN define the target scale. Any other
+// metric name is an error: it would read zeros everywhere and report a
+// clean program.
 func FindScalingBugs(c *PathCampaign, metric string, refP, refN float64, opts *modeling.Options) ([]ScalingBug, error) {
+	if _, ok := profile.MetricByName(metric); !ok && metric != "comm" {
+		var names []string
+		for m := profile.Metric(0); m < profile.NumMetrics; m++ {
+			names = append(names, m.String())
+		}
+		return nil, fmt.Errorf("workload: unknown scaling-bug metric %q (have %s, comm)",
+			metric, strings.Join(names, ", "))
+	}
 	if len(c.Samples) == 0 {
 		return nil, fmt.Errorf("workload: empty campaign")
 	}

@@ -78,6 +78,24 @@ func TestFindScalingBugsEmptyCampaign(t *testing.T) {
 	}
 }
 
+// An unknown metric name reads zeros on every path, which used to come
+// back as "no scaling bugs"; it must be an error naming the valid metrics.
+func TestFindScalingBugsUnknownMetric(t *testing.T) {
+	c := &PathCampaign{Samples: []PathSample{{
+		Sample:      Sample{P: 2, N: 64},
+		PathMetrics: map[string]map[string]float64{"main/sweep": {"loads": 1}},
+	}}}
+	bugs, err := FindScalingBugs(c, "bogus", 1<<20, 1<<14, nil)
+	if err == nil {
+		t.Fatalf("metric \"bogus\" accepted, returned %d bugs", len(bugs))
+	}
+	for _, want := range []string{`"bogus"`, "flop", "loads", "stores", "bytes_sent", "bytes_recv", "comm"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
 func TestIsMPIPath(t *testing.T) {
 	cases := map[string]bool{
 		"main/cg/MPI_Allreduce":  true,

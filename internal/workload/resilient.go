@@ -206,25 +206,12 @@ const (
 // watchdog-cancelled hang.
 func RunSecondsEdges() []float64 { return obs.ExpEdges(1e-4, 4, 10) }
 
-// campaignMetrics caches the resolved instruments of one campaign so the
-// measurement hot path touches only atomics, never the registry mutex.
+// campaignMetrics holds the resolved instruments of one campaign so the
+// measurement hot path touches only atomics, never the registry mutex (all
+// nil without a registry).
 type campaignMetrics struct {
 	runs, attempts, retries, recovered, quarantined *obs.Counter
 	runSeconds                                      *obs.Histogram
-}
-
-func newCampaignMetrics(r *obs.Registry) *campaignMetrics {
-	if r == nil {
-		return nil
-	}
-	return &campaignMetrics{
-		runs:        r.Counter(MetricRuns),
-		attempts:    r.Counter(MetricAttempts),
-		retries:     r.Counter(MetricRetries),
-		recovered:   r.Counter(MetricRecovered),
-		quarantined: r.Counter(MetricQuarantined),
-		runSeconds:  r.Histogram(MetricRunSeconds, RunSecondsEdges()),
-	}
 }
 
 // configSalt mixes a configuration's identity into a fault-seed salt, so
@@ -281,10 +268,8 @@ func (r *ResilientRunner) measureOnce(grid Grid, p, n, attempt int, stackDistanc
 		}
 		start := time.Now()
 		results, err := r.App.Run(cfg)
-		if cm != nil {
-			cm.runs.Inc()
-			cm.runSeconds.Observe(time.Since(start).Seconds())
-		}
+		cm.runs.Inc()
+		cm.runSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
 			return Sample{}, fmt.Errorf("%s at p=%d n=%d attempt %d: %w", r.App.Name(), p, n, attempt+1, err)
 		}
@@ -313,20 +298,16 @@ func (r *ResilientRunner) measureConfig(grid Grid, p, n int, stackDistance float
 	out := ConfigOutcome{P: p, N: n}
 	for a := 0; a < attempts; a++ {
 		out.Attempts = a + 1
-		if cm != nil {
-			cm.attempts.Inc()
-		}
+		cm.attempts.Inc()
 		s, err := r.measureOnce(grid, p, n, a, stackDistance, cm)
 		if err == nil {
-			if cm != nil && a > 0 {
+			if a > 0 {
 				cm.recovered.Inc()
 			}
 			return s, out
 		}
 		out.Errors = append(out.Errors, err.Error())
-		if cm != nil {
-			cm.retries.Inc()
-		}
+		cm.retries.Inc()
 		if a < attempts-1 {
 			r.sleep(backoff)
 			if backoff < maxBackoff {
@@ -334,9 +315,7 @@ func (r *ResilientRunner) measureConfig(grid Grid, p, n int, stackDistance float
 			}
 		}
 	}
-	if cm != nil {
-		cm.quarantined.Inc()
-	}
+	cm.quarantined.Inc()
 	out.Quarantined = true
 	return Sample{}, out
 }
@@ -427,7 +406,15 @@ func (r *ResilientRunner) Run(ctx context.Context, grid Grid) (*Campaign, *Campa
 		stackByN[n] = locality.MedianStackDistance(groups)
 	}
 
-	cm := newCampaignMetrics(r.Metrics)
+	reg := r.Metrics
+	cm := &campaignMetrics{
+		runs:        reg.Counter(MetricRuns),
+		attempts:    reg.Counter(MetricAttempts),
+		retries:     reg.Counter(MetricRetries),
+		recovered:   reg.Counter(MetricRecovered),
+		quarantined: reg.Counter(MetricQuarantined),
+		runSeconds:  reg.Histogram(MetricRunSeconds, RunSecondsEdges()),
+	}
 	exec := r.Exec
 	if exec == nil {
 		exec = serialExec

@@ -71,7 +71,7 @@ go test -run=NONE -bench=BenchmarkMeasure -benchtime=1x ./...
 # performance across the repo's history is comparable without re-running old
 # revisions. BENCH_PR stamps the PR number; BENCH_TIME trades gate time for
 # measurement stability.
-BENCH_PR=${BENCH_PR:-14}
+BENCH_PR=${BENCH_PR:-15}
 BENCH_TIME=${BENCH_TIME:-0.3s}
 echo "== perf trajectory (BENCH_${BENCH_PR}.json, benchtime ${BENCH_TIME}) =="
 {
